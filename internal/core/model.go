@@ -306,8 +306,10 @@ type predCache struct {
 }
 
 // predictForward runs RNNpredict given the visible hidden vector h (length
-// HiddenDim) and predict-input f. In training mode it records the
-// intermediates into cache and uses dropout driven by rng.
+// HiddenDim) and predict-input f, recording the intermediates into cache
+// and applying dropout driven by rng. It is the training forward pass;
+// inference goes through PredictBatch (scorer.go), which the tests hold
+// bit-identical to predictForward with train=false.
 func (m *Model) predictForward(h, f tensor.Vector, train bool, rng *tensor.RNG, cache *predCache) float64 {
 	hp := h.Clone()
 	var lf tensor.Vector
@@ -336,11 +338,6 @@ func (m *Model) predictForward(h, f tensor.Vector, train bool, rng *tensor.RNG, 
 		cache.mask = mask
 	}
 	return logit
-}
-
-// Predict runs RNNpredict in inference mode and returns P(access).
-func (m *Model) Predict(h, f tensor.Vector) float64 {
-	return nn.Sigmoid(m.predictForward(h, f, false, nil, nil))
 }
 
 // predictBackward propagates dLogit through RNNpredict, accumulating

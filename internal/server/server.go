@@ -5,8 +5,9 @@
 // park in bounded per-shard queues and are coalesced — flush on max-batch
 // or max-wait — into the wave-partitioned batched GEMM finaliser, so GEMM
 // batch sizes form from real traffic instead of replay lanes. Concurrent
-// predict requests ride an analogous bounded queue into the fan-out batch
-// prediction path.
+// predict requests ride an analogous bounded queue into the batched
+// scorer: the predict flusher decodes its micro-batch into one panel and
+// scores it inline, with no per-batch goroutines.
 //
 // Ordering and parity: a user's events must arrive in timestamp order (the
 // load generator shards users across connections to guarantee it), a
@@ -132,9 +133,6 @@ type Options struct {
 	LaneDepth int
 	// PredictDepth bounds the predict queue (<=0 selects 1024).
 	PredictDepth int
-	// PredictWorkers is the fan-out inside one predict batch (<=0 selects
-	// GOMAXPROCS).
-	PredictWorkers int
 }
 
 // predictItem is one parked predict request and its reply channel.
@@ -218,9 +216,6 @@ func New(opts Options) *Server {
 	}
 	if opts.PredictDepth <= 0 {
 		opts.PredictDepth = 1024
-	}
-	if opts.PredictWorkers <= 0 {
-		opts.PredictWorkers = runtime.GOMAXPROCS(0)
 	}
 	if opts.Precision == nn.TierF32 && !opts.Model.SupportsF32() {
 		// Programmer error: flag-level input is validated in ppserve, so an
@@ -470,19 +465,29 @@ func (s *Server) runFlusher(lane chan serving.DueSession) {
 		panic(err) // unreachable: New validated the tier against the model
 	}
 	batch := make([]serving.DueSession, 0, s.opts.MaxBatch)
+	timer := newStoppedTimer()
 	for d := range lane {
 		batch = append(batch[:0], d)
-		fillBatch(lane, &batch, s.opts.MaxBatch, s.opts.MaxWait)
+		fillBatch(lane, &batch, s.opts.MaxBatch, s.opts.MaxWait, timer)
 		fin.Finalize(batch)
 		s.batches.Add(1)
 		s.retire(len(batch))
 	}
 }
 
+// newStoppedTimer returns a stopped timer for fillBatch to re-arm. One
+// timer per flusher goroutine replaces a time.NewTimer per partial flush;
+// with Go 1.23+ timer semantics Stop and Reset need no channel drain.
+func newStoppedTimer() *time.Timer {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}
+
 // fillBatch coalesces queued items into batch: greedily take whatever is
-// already parked, then wait up to maxWait for a fuller flush. Flushes
-// early when the batch fills or the queue closes.
-func fillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration) {
+// already parked, then wait up to maxWait (on the caller's timer) for a
+// fuller flush. Flushes early when the batch fills or the queue closes.
+func fillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration, timer *time.Timer) {
 	for len(*batch) < maxBatch {
 		select {
 		case d, ok := <-q:
@@ -496,7 +501,7 @@ func fillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration)
 		if maxWait <= 0 {
 			return
 		}
-		timer := time.NewTimer(maxWait)
+		timer.Reset(maxWait)
 		for len(*batch) < maxBatch {
 			select {
 			case d, ok := <-q:
@@ -516,21 +521,26 @@ func fillBatch[T any](q chan T, batch *[]T, maxBatch int, maxWait time.Duration)
 
 // ---- predict micro-batcher ----
 
-// runPredictFlusher coalesces parked predict requests and serves them
-// through the fan-out batch prediction path, answering each parked
-// request on its reply channel.
+// runPredictFlusher coalesces parked predict requests and scores each
+// micro-batch inline through PredictionService.ScoreBatch — a panel
+// decode and batched scorer calls — answering each parked request on
+// its reply channel. The flusher owns the scorer scratch, so steady-state
+// scoring allocates nothing here.
 func (s *Server) runPredictFlusher() {
 	defer s.predictWG.Done()
 	items := make([]predictItem, 0, s.opts.MaxBatch)
 	reqs := make([]serving.PredictRequest, 0, s.opts.MaxBatch)
+	decs := make([]serving.Decision, s.opts.MaxBatch)
+	var sc serving.ScoreScratch
+	timer := newStoppedTimer()
 	for it := range s.predictQ {
 		items = append(items[:0], it)
-		fillBatch(s.predictQ, &items, s.opts.MaxBatch, s.opts.MaxWait)
+		fillBatch(s.predictQ, &items, s.opts.MaxBatch, s.opts.MaxWait, timer)
 		reqs = reqs[:0]
 		for _, it := range items {
 			reqs = append(reqs, it.req)
 		}
-		decs := s.svc.OnSessionStartBatch(reqs, s.opts.PredictWorkers)
+		s.svc.ScoreBatch(decs, reqs, &sc)
 		for i := range items {
 			items[i].ch <- decs[i]
 		}

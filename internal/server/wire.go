@@ -94,9 +94,11 @@ func (s *Server) closeWire() {
 // ingest-lock hold (the same all-or-nothing contract as POST /event, and
 // what keeps a start/access pair atomic). Predicts park in the batcher
 // queue and are answered out of band so a slow predict never blocks the
-// read loop. Any malformed frame — bad CRC, bad type, truncated batch —
-// drops the connection: the stream position cannot be trusted, and the
-// client's reconnect is transparent.
+// read loop. Any malformed frame — bad CRC, bad type, a payload too short
+// for its request ID — drops the connection: the stream position cannot
+// be trusted, and the client's reconnect is transparent. A well-framed
+// payload that fails to decode or validate is answered StatusBadRequest
+// and the connection stays open, matching the HTTP 400s.
 func (s *Server) serveWireConn(conn net.Conn) {
 	defer s.wireWG.Done()
 	defer s.dropWireConn(conn)
@@ -170,6 +172,9 @@ func (s *Server) ingestWire(er *wire.EventReader, ev *wire.Event, batch []byte) 
 			return wire.StatusBadRequest, 0, "event needs session and ts > 0"
 		}
 		if ev.Start {
+			if ev.User < 0 {
+				return wire.StatusBadRequest, 0, "start event needs session, user >= 0 and ts > 0"
+			}
 			if err := s.checkCat(ev.Cat); err != nil {
 				return wire.StatusBadRequest, 0, "start event: " + err.Error()
 			}
@@ -210,7 +215,7 @@ func (s *Server) ingestWire(er *wire.EventReader, ev *wire.Event, batch []byte) 
 
 // parkWirePredict validates and parks one predict request, answering out
 // of band when the micro-batched decision lands. Returns false when the
-// connection must drop (malformed payload).
+// connection must drop (the reply could not be written).
 func (s *Server) parkWirePredict(conn net.Conn, fw *wire.Writer, wmu *sync.Mutex, reqID uint64, payload []byte) bool {
 	replyStatus := func(status byte, msg string) bool {
 		wmu.Lock()
@@ -226,9 +231,9 @@ func (s *Server) parkWirePredict(conn net.Conn, fw *wire.Writer, wmu *sync.Mutex
 	}
 	pr, _, err := wire.ParsePredict(payload, nil)
 	if err != nil {
-		return false
+		return replyStatus(wire.StatusBadRequest, "decoding predict: "+err.Error())
 	}
-	if pr.Ts <= 0 {
+	if pr.User < 0 || pr.Ts <= 0 {
 		return replyStatus(wire.StatusBadRequest, "predict needs user >= 0 and ts > 0")
 	}
 	if err := s.checkCat(pr.Cat); err != nil {

@@ -3,8 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -160,5 +163,79 @@ func TestWireValidationAndDraining(t *testing.T) {
 	ack, err = wcl2.SendEvents(0, 2, bytes.Clone(good))
 	if err == nil && ack.Status != wire.StatusDraining {
 		t.Fatalf("post-shutdown ack: %+v (err %v)", ack, err)
+	}
+}
+
+// TestOutOfRangeUserRejectedOnBothTransports pins one validation rule
+// across transports: a user ID of 2⁶³ (one past int64) is a bad request
+// over HTTP (400) and over wire (StatusBadRequest, connection kept open),
+// for start events and predicts alike, and nothing is applied or scored.
+func TestOutOfRangeUserRejectedOnBothTransports(t *testing.T) {
+	m := testModel(t, 16)
+	store := serving.NewKVStore()
+	srv := New(Options{
+		Model: m, Store: store, Threshold: 0.5,
+		Lanes: 1, MaxBatch: 4, MaxWait: time.Millisecond, LaneDepth: 16,
+	})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	wireAddr := startWireListener(t, srv)
+
+	const user = "9223372036854775808" // 1<<63
+	for path, body := range map[string]string{
+		"/event":   `{"type":"start","session":"s-big","user":` + user + `,"ts":100,"cat":[1,2]}`,
+		"/predict": `{"user":` + user + `,"ts":100,"cat":[1,2]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("HTTP %s with user 1<<63: status %d, want 400", path, resp.StatusCode)
+		}
+	}
+
+	wcl := wire.NewClient(wireAddr, wire.ClientOptions{})
+	defer wcl.Close()
+	ev := append([]byte{wire.KindStart}, binary.AppendUvarint(nil, 1<<63)...)
+	ev = binary.AppendUvarint(ev, 100) // ts
+	ev = binary.AppendUvarint(ev, 5)
+	ev = append(ev, "s-big"...)
+	ev = binary.AppendUvarint(ev, 2)
+	ev = binary.AppendUvarint(ev, 1)
+	ev = binary.AppendUvarint(ev, 2)
+	ack, err := wcl.SendEvents(0, 1, ev)
+	if err != nil {
+		t.Fatalf("wire event with user 1<<63: %v", err)
+	}
+	if ack.Status != wire.StatusBadRequest {
+		t.Fatalf("wire event with user 1<<63: ack %+v, want BadRequest", ack)
+	}
+	pp := binary.AppendUvarint(nil, 1<<63)
+	pp = binary.AppendUvarint(pp, 100)
+	pp = binary.AppendUvarint(pp, 2)
+	pp = binary.AppendUvarint(pp, 1)
+	pp = binary.AppendUvarint(pp, 2)
+	// No retries: a dropped connection would surface as an error here.
+	pr, err := wcl.SendPredict(0, pp, 0)
+	if err != nil {
+		t.Fatalf("wire predict with user 1<<63: %v (connection dropped?)", err)
+	}
+	if pr.Status != wire.StatusBadRequest {
+		t.Fatalf("wire predict with user 1<<63: reply %+v, want BadRequest", pr)
+	}
+	// The connection is still usable for a valid predict.
+	pr, err = wcl.SendPredict(0, wire.AppendPredict(nil, 7, 100, []int{1, 2}), 0)
+	if err != nil || pr.Status != wire.StatusOK {
+		t.Fatalf("valid predict after a rejected one: %+v, %v", pr, err)
+	}
+
+	st := srv.Stats()
+	if st.Events != 0 || st.Predicts != 1 || len(store.Keys()) != 0 {
+		t.Fatalf("rejected requests leaked through: events %d, predicts %d, keys %d", st.Events, st.Predicts, len(store.Keys()))
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }

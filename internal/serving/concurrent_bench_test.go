@@ -175,8 +175,11 @@ func BenchmarkBatchFinalise(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchPrediction measures session-startup throughput at 1/4/8
-// fan-out goroutines over a warmed store.
+// BenchmarkBatchPrediction measures the server's predict flusher path —
+// ScoreBatch with one owned scratch — at batch sizes 1, 4, 8 and 32 over a
+// warmed store. One op is one batch; ns/prediction divides by its size.
+// The allocations left per op are the store's (key string and value copy
+// per Get); decode, feature build and scoring allocate nothing.
 func BenchmarkBatchPrediction(b *testing.B) {
 	m := benchModel()
 	store := NewShardedKVStore(16)
@@ -191,16 +194,22 @@ func BenchmarkBatchPrediction(b *testing.B) {
 	proc.Flush()
 	svc := NewPredictionService(m, store, 0.5)
 
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
+	for _, batch := range []int{1, 4, 8, 32} {
+		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {
+			var sc ScoreScratch
+			out := make([]Decision, batch)
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				svc.OnSessionStartBatch(reqs, workers)
+				lo := (i * batch) % users
+				svc.ScoreBatch(out, reqs[lo:lo+batch], &sc)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch), "ns/prediction")
 		})
 	}
 }
 
-// BenchmarkSequentialLoop pins the per-request baseline OnSessionStartBatch
+// BenchmarkSequentialLoop pins the per-request baseline BenchmarkBatchPrediction
 // is compared against.
 func BenchmarkSequentialLoop(b *testing.B) {
 	m := benchModel()

@@ -7,7 +7,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/synth"
+	"repro/internal/tensor"
 )
 
 func TestShardedKVStoreBasics(t *testing.T) {
@@ -281,4 +283,119 @@ func TestStreamProcessorAcceptsShardedStore(t *testing.T) {
 	if _, ok := store.Get(hiddenKey(3)); !ok {
 		t.Fatalf("sequential processor must work with the sharded store")
 	}
+}
+
+// refOnSessionStart is the per-request session-start path written out
+// longhand — allocate-and-decode, classify, build, score one row — as an
+// independent reference for the batched scorer's decode and counting.
+func refOnSessionStart(m *core.Model, store Store, threshold float64, r PredictRequest) (d Decision, cold, failed bool) {
+	var h tensor.Vector
+	var lastTS int64
+	if raw, ok := store.Get(hiddenKey(r.UserID)); ok {
+		if dec, ts, ok2 := DecodeHidden(raw); ok2 && len(dec) == m.StateSize() {
+			h, lastTS = dec, ts
+		} else {
+			failed = true
+		}
+	}
+	if h == nil {
+		cold = true
+		h = m.InitialState()
+	}
+	var sinceK int64
+	if lastTS != 0 {
+		sinceK = r.Ts - lastTS
+	}
+	p := m.Predict(h[:m.HiddenDim()], m.BuildPredictInput(r.Ts, r.Cat, sinceK, nil))
+	return Decision{Probability: p, Precompute: p >= threshold}, cold, failed
+}
+
+// TestBatchPredictionCountersMatchPerRequest pins OnSessionStartBatch and
+// ScoreBatch against the per-request path on a store holding warm,
+// missing, mis-sized and malformed states: every decision bit for bit, and
+// all four counters (predictions, precomputes, cold starts, decode
+// failures) exactly, at every worker count and across scratch reuse over
+// changing batch sizes.
+func TestBatchPredictionCountersMatchPerRequest(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.HiddenDim, cfg.MLPHidden = 16, 30
+	m := core.New(synth.MobileTabSchema(), cfg)
+	store := NewShardedKVStore(8)
+	proc := NewStreamProcessor(m, store)
+	start := synth.DefaultStart
+	const users = 40
+	for u := 0; u < users; u++ {
+		switch u % 4 {
+		case 0, 1: // warm
+			proc.OnSessionStart(fmt.Sprintf("w%d", u), u, start+int64(u), []int{u % 4, u % 3})
+			proc.OnAccess(fmt.Sprintf("w%d", u), start+int64(u)+5)
+		case 2: // mis-sized: a state of another dimension
+			store.Put(hiddenKey(u), EncodeHidden(tensor.NewVector(m.StateSize()+3), start))
+		case 3: // cold when u%8 == 3; malformed bytes otherwise
+			if u%8 == 7 {
+				store.Put(hiddenKey(u), []byte{1, 2, 3})
+			}
+		}
+	}
+	proc.Flush()
+
+	var reqs []PredictRequest
+	for i := 0; i < 3*users; i++ {
+		u := (i * 7) % users
+		reqs = append(reqs, PredictRequest{UserID: u, Ts: start + 9000 + int64(i), Cat: []int{i % 4, i % 3}})
+	}
+	want := make([]Decision, len(reqs))
+	var wantCold, wantFailed, wantPre int64
+	for i, r := range reqs {
+		d, cold, failed := refOnSessionStart(m, store, 0.5, r)
+		want[i] = d
+		if cold {
+			wantCold++
+		}
+		if failed {
+			wantFailed++
+		}
+		if d.Precompute {
+			wantPre++
+		}
+	}
+	if wantCold == 0 || wantFailed == 0 || wantCold == int64(len(reqs)) {
+		t.Fatalf("fixture must mix warm, cold and undecodable states: cold %d failed %d", wantCold, wantFailed)
+	}
+
+	check := func(name string, svc *PredictionService, got []Decision) {
+		t.Helper()
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: req %d: %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+		if svc.Predictions.Load() != int64(len(reqs)) || svc.Precomputes.Load() != wantPre ||
+			svc.ColdStarts.Load() != wantCold || svc.DecodeFailures.Load() != wantFailed {
+			t.Fatalf("%s: counters predictions %d precomputes %d cold %d failures %d, want %d %d %d %d", name,
+				svc.Predictions.Load(), svc.Precomputes.Load(), svc.ColdStarts.Load(), svc.DecodeFailures.Load(),
+				len(reqs), wantPre, wantCold, wantFailed)
+		}
+	}
+
+	perReq := NewPredictionService(m, store, 0.5)
+	got := make([]Decision, len(reqs))
+	for i, r := range reqs {
+		got[i] = perReq.OnSessionStart(r.UserID, r.Ts, r.Cat)
+	}
+	check("OnSessionStart", perReq, got)
+
+	for _, workers := range []int{1, 3, 8} {
+		svc := NewPredictionService(m, store, 0.5)
+		check(fmt.Sprintf("OnSessionStartBatch workers=%d", workers), svc, svc.OnSessionStartBatch(reqs, workers))
+	}
+
+	// One scratch across batch sizes 1..9, as a flusher sees them.
+	svc := NewPredictionService(m, store, 0.5)
+	var sc ScoreScratch
+	for lo, B := 0, 1; lo < len(reqs); lo, B = lo+B, B%9+1 {
+		hi := min(lo+B, len(reqs))
+		svc.ScoreBatch(got[lo:hi], reqs[lo:hi], &sc)
+	}
+	check("ScoreBatch", svc, got)
 }

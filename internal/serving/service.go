@@ -49,33 +49,15 @@ type Decision struct {
 }
 
 // OnSessionStart serves one prediction. Users with no stored hidden state
-// fall back to h_0 (cold start, §9).
+// fall back to h_0 (cold start, §9). It is the one-request call of
+// ScoreBatch.
 func (s *PredictionService) OnSessionStart(userID int, ts int64, cat []int) Decision {
-	var h tensor.Vector
-	var lastTS int64
-	if raw, ok := s.store.Get(hiddenKey(userID)); ok {
-		if dec, t, ok2 := DecodeHidden(raw); ok2 && len(dec) == s.model.StateSize() {
-			h, lastTS = dec, t
-		} else {
-			s.DecodeFailures.Add(1)
-		}
-	}
-	if h == nil {
-		s.ColdStarts.Add(1)
-		h = s.model.InitialState()
-	}
-	var sinceK int64
-	if lastTS != 0 {
-		sinceK = ts - lastTS
-	}
-	f := s.model.BuildPredictInput(ts, cat, sinceK, nil)
-	p := s.model.Predict(h[:s.model.HiddenDim()], f)
-	s.Predictions.Add(1)
-	d := Decision{Probability: p, Precompute: p >= s.Threshold}
-	if d.Precompute {
-		s.Precomputes.Add(1)
-	}
-	return d
+	sc := scoreScratch.Get().(*ScoreScratch)
+	reqs := [1]PredictRequest{{UserID: userID, Ts: ts, Cat: cat}}
+	var out [1]Decision
+	s.ScoreBatch(out[:], reqs[:], sc)
+	scoreScratch.Put(sc)
+	return out[0]
 }
 
 // PredictRequest is one element of a prediction batch.
@@ -85,14 +67,108 @@ type PredictRequest struct {
 	Cat    []int
 }
 
-// OnSessionStartBatch serves a batch of independent predictions, fanning
-// the requests across `workers` goroutines (<=0 selects GOMAXPROCS).
-// Results are returned in request order; decisions are identical to
-// calling OnSessionStart per request, because predictions read the store
-// but never write it. This is the multi-core session-startup path: at peak
-// traffic the serving tier receives many session starts per scheduling
-// quantum, and each prediction is one KV read plus a small MLP, so the
-// batch parallelises near-linearly.
+// ScoreScratch is the caller-owned working memory of ScoreBatch: the
+// decoded-state and predict-input panels, the scores, and the model's
+// scorer scratch. The zero value is ready to use. Panels hold at most
+// scoreChunk rows whatever the batch size, so a scratch stays a few tens
+// of KB and steady-state scoring allocates nothing beyond the store's
+// own Get. Not safe for concurrent use.
+type ScoreScratch struct {
+	hs, fs tensor.Matrix
+	probs  [scoreChunk]float64
+	pred   core.PredictScratch
+}
+
+// scoreChunk is how many requests ScoreBatch decodes and scores per
+// PredictBatch call. The scorer's cost per row is flat in the batch size
+// at d = 128 (W1's hidden block stays cache-resident), so a bounded chunk
+// costs nothing and keeps the scratch small: at MobileTab and d = 128,
+// eight rows of state, predict-input, latent-cross and MLP panels are
+// about 40 KB.
+const scoreChunk = 8
+
+// scoreScratch recycles the scratch of the per-request and replay paths.
+var scoreScratch = sync.Pool{New: func() any { return new(ScoreScratch) }}
+
+// panel resizes m to rows×cols over its existing storage when it fits.
+func panel(m *tensor.Matrix, rows, cols int) {
+	if cap(m.Data) < rows*cols {
+		m.Data = make([]float64, rows*cols)
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:rows*cols]
+}
+
+// ScoreBatch serves reqs into out[:len(reqs)]: stored states are decoded
+// into the rows of one panel (h_0 on a miss, a decode failure or a
+// mis-sized state) and scored together through core.Model.PredictBatch,
+// scoreChunk rows per call. Decisions and counters equal calling
+// OnSessionStart per request, because predictions read the store but
+// never write it.
+func (s *PredictionService) ScoreBatch(out []Decision, reqs []PredictRequest, sc *ScoreScratch) {
+	var cold, failed, precomputes int64
+	for lo := 0; lo < len(reqs); lo += scoreChunk {
+		hi := min(lo+scoreChunk, len(reqs))
+		c, f, p := s.scoreRows(out[lo:hi], reqs[lo:hi], sc)
+		cold, failed, precomputes = cold+c, failed+f, precomputes+p
+	}
+	s.Predictions.Add(int64(len(reqs)))
+	if precomputes > 0 {
+		s.Precomputes.Add(precomputes)
+	}
+	if cold > 0 {
+		s.ColdStarts.Add(cold)
+	}
+	if failed > 0 {
+		s.DecodeFailures.Add(failed)
+	}
+}
+
+// scoreRows decodes and scores at most scoreChunk requests, returning
+// how many started cold, how many of those held an undecodable state, and
+// how many cleared the threshold.
+func (s *PredictionService) scoreRows(out []Decision, reqs []PredictRequest, sc *ScoreScratch) (cold, failed, precomputes int64) {
+	m := s.model
+	B := len(reqs)
+	panel(&sc.hs, B, m.StateSize())
+	panel(&sc.fs, B, m.PredictDim())
+	for b, r := range reqs {
+		row := sc.hs.Row(b)
+		var lastTS int64
+		ok := false
+		if raw, found := s.store.Get(hiddenKey(r.UserID)); found {
+			if lastTS, ok = DecodeHiddenInto(raw, row); !ok {
+				failed++
+			}
+		}
+		if !ok {
+			cold++
+			row.Zero() // h_0 (§6.1)
+			lastTS = 0
+		}
+		var sinceK int64
+		if lastTS != 0 {
+			sinceK = r.Ts - lastTS
+		}
+		m.BuildPredictInput(r.Ts, r.Cat, sinceK, sc.fs.Row(b))
+	}
+	probs := sc.probs[:B]
+	m.PredictBatch(probs, &sc.hs, &sc.fs, &sc.pred)
+	for b, p := range probs {
+		out[b] = Decision{Probability: p, Precompute: p >= s.Threshold}
+		if out[b].Precompute {
+			precomputes++
+		}
+	}
+	return cold, failed, precomputes
+}
+
+// OnSessionStartBatch serves a batch of independent predictions and
+// returns the decisions in request order. The requests are split into
+// `workers` contiguous chunks (<=0 selects GOMAXPROCS), each scored by one
+// goroutine through ScoreBatch; decisions and counters are identical to
+// calling OnSessionStart per request. Replay mode uses the fan-out to
+// score a timestamp's burst of session starts on every core; the online
+// server scores each micro-batch inline through ScoreBatch instead.
 func (s *PredictionService) OnSessionStartBatch(reqs []PredictRequest, workers int) []Decision {
 	out := make([]Decision, len(reqs))
 	if len(reqs) == 0 {
@@ -101,9 +177,12 @@ func (s *PredictionService) OnSessionStartBatch(reqs []PredictRequest, workers i
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	parallelFor(len(reqs), workers, func(i int) {
-		r := reqs[i]
-		out[i] = s.OnSessionStart(r.UserID, r.Ts, r.Cat)
+	chunk := (len(reqs) + workers - 1) / workers
+	parallelFor((len(reqs)+chunk-1)/chunk, workers, func(c int) {
+		lo, hi := c*chunk, min((c+1)*chunk, len(reqs))
+		sc := scoreScratch.Get().(*ScoreScratch)
+		s.ScoreBatch(out[lo:hi], reqs[lo:hi], sc)
+		scoreScratch.Put(sc)
 	})
 	return out
 }

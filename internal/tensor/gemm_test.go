@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -288,4 +289,144 @@ func BenchmarkMulVecVsGEMM(b *testing.B) {
 			x.MulMatT(dstM, w)
 		}
 	})
+}
+
+// Shapes of the small-batch property tests: every batch size a ragged-row
+// tile meets (M ≤ 9), output widths from a lone column to the GRU gate
+// panel (3·128), and inner widths that cross gemmKC (300).
+var (
+	smallM = []int{1, 2, 3, 4, 5, 6, 7, 8, 9}
+	smallN = []int{1, 3, 5, 15, 128, 384}
+	smallK = []int{1, 7, 128, 300}
+)
+
+// edgeMatrix fills a rows×cols matrix with normal values salted with the
+// IEEE-754 entries a reassociating kernel would mishandle: +0, −0 and
+// subnormals.
+func edgeMatrix(rng *RNG, rows, cols int) *Matrix {
+	m := NewMatrix(rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(8) {
+		case 0:
+			m.Data[i] = 0
+		case 1:
+			m.Data[i] = math.Copysign(0, -1)
+		case 2:
+			m.Data[i] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
+		case 3:
+			m.Data[i] = -2.5e-310 * rng.Float64()
+		default:
+			m.Data[i] = rng.NormFloat64()
+		}
+	}
+	return m
+}
+
+// naiveDot is the single-chain reference: terms added in ascending k,
+// starting from +0.
+func naiveDot(a, b []float64) float64 {
+	var s float64
+	for k := range a {
+		s += a[k] * b[k]
+	}
+	return s
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+
+// TestMulMatTPrefixMatchesNaive pins the 1×4 edge tile, the 2×4 tile and
+// the K-prefix entry point: every element of m[:, :k] · w[:, :k]ᵀ equals
+// the naive chain bit for bit, with both operands wider than k (row
+// strides are the full widths) and at the full width, where MulMatT must
+// agree too.
+func TestMulMatTPrefixMatchesNaive(t *testing.T) {
+	rng := NewRNG(21)
+	for _, M := range smallM {
+		for _, N := range smallN {
+			for _, K := range smallK {
+				for _, pad := range []struct{ a, b int }{{0, 0}, {3, 5}} {
+					a := edgeMatrix(rng, M, K+pad.a)
+					w := edgeMatrix(rng, N, K+pad.b)
+					got := NewMatrix(M, N)
+					a.MulMatTPrefix(got, w, K)
+					for i := 0; i < M; i++ {
+						for j := 0; j < N; j++ {
+							want := naiveDot(a.Row(i)[:K], w.Row(j)[:K])
+							if !sameBits(got.At(i, j), want) {
+								t.Fatalf("M=%d N=%d K=%d pad=%v (%d,%d): got %v want %v",
+									M, N, K, pad, i, j, got.At(i, j), want)
+							}
+						}
+					}
+					if pad.a == 0 && pad.b == 0 {
+						full := NewMatrix(M, N)
+						a.MulMatT(full, w)
+						for e := range full.Data {
+							if !sameBits(full.Data[e], got.Data[e]) {
+								t.Fatalf("M=%d N=%d K=%d: MulMatT element %d differs from the prefix form", M, N, K, e)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMulVecFourRowMatchesNaive pins the four-row MulVecDense and sparse
+// MulVec row loops (and MulVecSparse over a caller gather): each output
+// equals the naive single chain over the full row, for dense and sparse
+// inputs salted with ±0 and subnormals.
+func TestMulVecFourRowMatchesNaive(t *testing.T) {
+	rng := NewRNG(22)
+	for _, N := range smallN {
+		for _, K := range smallK {
+			w := edgeMatrix(rng, N, K)
+			dense := edgeMatrix(rng, 1, K).Row(0)
+			sparse := NewVector(K)
+			for _, j := range []int{0, K / 3, K - 1} {
+				sparse[j] = rng.NormFloat64()
+			}
+			sparse[K/2] = math.Copysign(0, -1)
+			sparse[(2*K)/3] = 3e-320
+			for name, x := range map[string]Vector{"dense": dense, "sparse": sparse} {
+				var idx []int32
+				for j, v := range x {
+					if v != 0 {
+						idx = append(idx, int32(j))
+					}
+				}
+				got := map[string]Vector{"MulVec": NewVector(N), "MulVecDense": NewVector(N), "MulVecSparse": NewVector(N)}
+				w.MulVec(got["MulVec"], x)
+				w.MulVecDense(got["MulVecDense"], x)
+				w.MulVecSparse(got["MulVecSparse"], x, idx)
+				for i := 0; i < N; i++ {
+					want := naiveDot(w.Row(i), x)
+					for kernel, g := range got {
+						if !sameBits(g[i], want) {
+							t.Fatalf("%s N=%d K=%d %s row %d: got %v want %v", kernel, N, K, name, i, g[i], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkSmallBatchNT times the ragged-row regime the serving tier sees
+// at low load: B ≤ 9 rows against the GRU's 3·128 × 128 recurrent weights.
+func BenchmarkSmallBatchNT(b *testing.B) {
+	rng := NewRNG(23)
+	const d = 128
+	w := randMatrix(rng, 3*d, d)
+	for _, batch := range []int{1, 2, 3, 4, 5, 6, 8, 9} {
+		x := randMatrix(rng, batch, d)
+		dst := NewMatrix(batch, 3*d)
+		b.Run(fmt.Sprintf("B%d", batch), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				x.MulMatT(dst, w)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N*batch), "us/row")
+		})
+	}
 }

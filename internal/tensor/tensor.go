@@ -266,14 +266,7 @@ func (m *Matrix) MulVec(dst, x Vector) {
 	if len(x) >= sparseCutoff {
 		buf := nzPool.Get().(*[]int32)
 		if idx := gatherNonzeros(buf, x); idx != nil {
-			for i := 0; i < m.Rows; i++ {
-				row := m.Data[i*m.Cols : (i+1)*m.Cols]
-				var s float64
-				for _, j := range idx {
-					s += row[j] * x[j]
-				}
-				dst[i] = s
-			}
+			m.MulVecSparse(dst, x, idx)
 			nzPool.Put(buf)
 			return
 		}
@@ -282,16 +275,73 @@ func (m *Matrix) MulVec(dst, x Vector) {
 	m.MulVecDense(dst, x)
 }
 
+// MulVecSparse computes dst = m · x over the columns idx only: x's nonzero
+// indices in ascending order, gathered by the caller so one gather can
+// serve several products. Each output is one chain ascending over idx,
+// four rows at a time; the result is bit-identical to MulVec (see
+// MulVecDense for why skipped zero terms never change the sum).
+func (m *Matrix) MulVecSparse(dst, x Vector, idx []int32) {
+	checkLen("Matrix.MulVecSparse x", m.Cols, len(x))
+	checkLen("Matrix.MulVecSparse dst", m.Rows, len(dst))
+	n := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[(i+0)*n : (i+1)*n : (i+1)*n]
+		r1 := m.Data[(i+1)*n : (i+2)*n : (i+2)*n]
+		r2 := m.Data[(i+2)*n : (i+3)*n : (i+3)*n]
+		r3 := m.Data[(i+3)*n : (i+4)*n : (i+4)*n]
+		var s0, s1, s2, s3 float64
+		for _, j := range idx {
+			xv := x[j]
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n : (i+1)*n]
+		var s float64
+		for _, j := range idx {
+			s += row[j] * x[j]
+		}
+		dst[i] = s
+	}
+}
+
 // MulVecDense is MulVec without the sparsity scan, for callers that know x
 // is dense (e.g. a GRU hidden state after the first step). Results are
 // bit-identical to MulVec: skipped zero terms contribute ±0, which never
 // changes an IEEE-754 running sum that is not itself −0, and a running sum
 // of products can only be −0 before any nonzero term has been added.
+//
+// Four output rows run at a time, as four independent chains each
+// ascending in j (the four-chain rule of gemm.go): a lone chain per row
+// would leave the loop bound by floating-point add latency.
 func (m *Matrix) MulVecDense(dst, x Vector) {
 	checkLen("Matrix.MulVecDense x", m.Cols, len(x))
 	checkLen("Matrix.MulVecDense dst", m.Rows, len(dst))
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	n := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[(i+0)*n : (i+1)*n : (i+1)*n]
+		r1 := m.Data[(i+1)*n : (i+2)*n : (i+2)*n]
+		r2 := m.Data[(i+2)*n : (i+3)*n : (i+3)*n]
+		r3 := m.Data[(i+3)*n : (i+4)*n : (i+4)*n]
+		r1, r2, r3, x := r1[:len(r0)], r2[:len(r0)], r3[:len(r0)], x[:len(r0)]
+		var s0, s1, s2, s3 float64
+		for j, w := range r0 {
+			xv := x[j]
+			s0 += w * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n : (i+1)*n]
 		var s float64
 		for j, w := range row {
 			s += w * x[j]
