@@ -17,8 +17,8 @@
 // keeps serving everything else.
 //
 // With -workers > 1 the replay runs through the concurrent serving path:
-// a sharded KV store, a worker-pool stream processor (per-user lanes keep
-// update order), and batched fan-out predictions sized by -batch.
+// a sharded KV store, the stream processor feeding serving.Lanes (per-user
+// lanes keep update order), and batched fan-out predictions sized by -batch.
 //
 // Lifecycle flags swap in the durable, memory-bounded statestore:
 // -persist DIR enables the WAL + snapshot tier (and -restart-after
@@ -322,21 +322,8 @@ func main() {
 	// traffic.
 	evs := server.LogFromDataset(split.Test)
 
-	// stack is one generation of the serving tier; a simulated restart
-	// tears it down and rebuilds it from the persisted state.
-	type stack struct {
-		store       serving.Store
-		ss          *statestore.Store // non-nil when the lifecycle store is in use
-		svc         *serving.PredictionService
-		advance     func(ts int64)
-		onSession   func(sid string, user int, ts int64, cat []int)
-		onAccess    func(sid string, ts int64)
-		flush       func()
-		updatesRun  func() int64
-		pendingLeft func() int
-	}
-	buildStack := func(announce bool) *stack {
-		st := &stack{}
+	buildStack := func(announce bool) *replayStack {
+		st := &replayStack{}
 		if lifecycle {
 			ss, err := statestore.Open(ssOpts)
 			if err != nil {
@@ -352,56 +339,47 @@ func main() {
 				}
 			}
 		}
-		if *workers > 1 {
-			if st.store == nil {
+		if st.store == nil {
+			if *workers > 1 {
 				sh := serving.NewShardedKVStore(*shards)
 				st.store = sh
 				if announce {
 					fmt.Printf("state store: %d-shard in-memory KV\n", sh.NumShards())
 				}
-			}
-			proc, err := serving.NewParallelStreamProcessorTier(model, st.store, *workers, *inferBatch, tier)
-			if err != nil {
-				fmt.Printf("ppserve: %v\n", err) // unreachable: gated on SupportsF32 above
-				return nil
-			}
-			// Advance+Sync preserves the sequential path's read-your-writes
-			// semantics at every prediction point.
-			st.advance = func(ts int64) { proc.Advance(ts); proc.Sync() }
-			st.onSession = proc.OnSessionStart
-			st.onAccess = proc.OnAccess
-			st.flush = proc.Close
-			st.updatesRun = proc.UpdatesRun
-			st.pendingLeft = proc.Pending
-			if announce {
-				fmt.Printf("serving stack: %d worker lanes, batch %d, infer-batch %d, precision %s\n",
-					proc.Workers(), maxInt(*batch, 1), maxInt(*inferBatch, 1), tier)
-			}
-		} else {
-			if st.store == nil {
+			} else {
 				st.store = serving.NewKVStore()
 				if announce {
 					fmt.Println("state store: single-mutex in-memory KV")
 				}
 			}
-			proc := serving.NewStreamProcessor(model, st.store)
-			proc.SetInferBatch(*inferBatch)
-			if err := proc.SetPrecision(tier); err != nil {
+		}
+		proc := serving.NewStreamProcessor(model, st.store)
+		proc.SetInferBatch(*inferBatch)
+		if err := proc.SetPrecision(tier); err != nil {
+			fmt.Printf("ppserve: %v\n", err) // unreachable: gated on SupportsF32 above
+			return nil
+		}
+		st.proc = proc
+		if *workers > 1 {
+			lanes, err := serving.NewLanes(model, st.store, serving.LaneOptions{
+				Lanes: *workers, MaxBatch: *inferBatch, MaxWait: -1, Precision: tier,
+			})
+			if err != nil {
 				fmt.Printf("ppserve: %v\n", err) // unreachable: gated on SupportsF32 above
 				return nil
 			}
-			st.advance = proc.Advance
-			st.onSession = proc.OnSessionStart
-			st.onAccess = proc.OnAccess
-			st.flush = proc.Flush
-			st.updatesRun = func() int64 { return proc.UpdatesRun }
-			st.pendingLeft = proc.Pending
-			if announce {
-				if *inferBatch > 1 {
-					fmt.Printf("serving stack: sequential, infer-batch %d, precision %s\n", *inferBatch, tier)
-				} else {
-					fmt.Printf("serving stack: sequential (in-line updates), precision %s\n", tier)
-				}
+			proc.SetSink(lanes.Submit)
+			st.lanes = lanes
+		}
+		if announce {
+			switch {
+			case *workers > 1:
+				fmt.Printf("serving stack: %d worker lanes, batch %d, infer-batch %d, precision %s\n",
+					*workers, maxInt(*batch, 1), maxInt(*inferBatch, 1), tier)
+			case *inferBatch > 1:
+				fmt.Printf("serving stack: sequential, infer-batch %d, precision %s\n", *inferBatch, tier)
+			default:
+				fmt.Printf("serving stack: sequential (in-line updates), precision %s\n", tier)
 			}
 		}
 		st.svc = serving.NewPredictionService(model, st.store, thr)
@@ -422,7 +400,7 @@ func main() {
 	var tp, fp, fn, tn int
 	var acc serving.Stats
 	var accPred, accCold, accFail, accUpdates int64
-	retire := func(s *stack) {
+	retire := func(s *replayStack) {
 		s.flush()
 		st := s.store.Stats()
 		acc.Gets += st.Gets
@@ -518,13 +496,13 @@ func main() {
 			}
 		}
 		for _, e := range group {
-			cur.onSession(e.SID, e.User, e.Ts, e.Cat)
+			cur.proc.OnSessionStart(e.SID, e.User, e.Ts, e.Cat)
 			if e.Access {
-				cur.onAccess(e.SID, e.Ts+30)
+				cur.proc.OnAccess(e.SID, e.Ts+30)
 			}
 		}
 	}
-	pending := cur.pendingLeft
+	pending := cur.proc.Pending
 	retire(cur)
 	elapsed := time.Since(t0)
 
@@ -582,6 +560,41 @@ func main() {
 			fmt.Printf("ppserve: statestore error: %v\n", err)
 		}
 	}
+}
+
+// replayStack is one generation of the replay serving tier; a simulated
+// restart tears it down and rebuilds it from the persisted state.
+type replayStack struct {
+	store serving.Store
+	ss    *statestore.Store // non-nil when the lifecycle store is in use
+	svc   *serving.PredictionService
+	proc  *serving.StreamProcessor
+	lanes *serving.Lanes // -workers > 1: due sessions finalise on the lanes
+}
+
+// advance moves the clock to ts and, with lanes, waits for the due
+// sessions to land — the sequential path's read-your-writes semantics at
+// every prediction point.
+func (s *replayStack) advance(ts int64) {
+	s.proc.Advance(ts)
+	if s.lanes != nil {
+		s.lanes.Wait()
+	}
+}
+
+// flush finalises every outstanding session and stops the lanes.
+func (s *replayStack) flush() {
+	s.proc.Flush()
+	if s.lanes != nil {
+		s.lanes.Close()
+	}
+}
+
+func (s *replayStack) updatesRun() int64 {
+	if s.lanes != nil {
+		return s.lanes.UpdatesRun()
+	}
+	return s.proc.UpdatesRun
 }
 
 // serverConfig bundles the server-mode knobs.

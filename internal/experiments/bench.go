@@ -135,26 +135,29 @@ func RunServingBench(quick bool) *ServingBenchSuite {
 		var scalarNs float64
 		for _, c := range cfgs {
 			runner := &servingBenchRunner{users: users, window: m.Schema.SessionLength + core.DefaultEpsilon}
-			var closeProc func()
+			var store serving.Store = serving.NewKVStore()
 			if c.workers > 0 {
-				p, err := serving.NewParallelStreamProcessorTier(m, serving.NewShardedKVStore(16), c.workers, c.inferBatch, c.precision)
+				store = serving.NewShardedKVStore(16)
+			}
+			p := serving.NewStreamProcessor(m, store)
+			p.SetInferBatch(c.inferBatch)
+			if err := p.SetPrecision(c.precision); err != nil {
+				panic(err) // the bench model is a single GRU; every tier applies
+			}
+			runner.onSession = p.OnSessionStart
+			runner.onAccess = p.OnAccess
+			runner.advance = p.Advance
+			closeProc := p.Flush
+			if c.workers > 0 {
+				lanes, err := serving.NewLanes(m, store, serving.LaneOptions{
+					Lanes: c.workers, MaxBatch: c.inferBatch, MaxWait: -1, Precision: c.precision,
+				})
 				if err != nil {
-					panic(err) // the bench model is a single GRU; every tier applies
-				}
-				runner.onSession = p.OnSessionStart
-				runner.onAccess = p.OnAccess
-				runner.advance = func(ts int64) { p.Advance(ts); p.Sync() }
-				closeProc = p.Close
-			} else {
-				p := serving.NewStreamProcessor(m, serving.NewKVStore())
-				p.SetInferBatch(c.inferBatch)
-				if err := p.SetPrecision(c.precision); err != nil {
 					panic(err)
 				}
-				runner.onSession = p.OnSessionStart
-				runner.onAccess = p.OnAccess
-				runner.advance = p.Advance
-				closeProc = p.Flush
+				p.SetSink(lanes.Submit)
+				runner.advance = func(ts int64) { p.Advance(ts); lanes.Wait() }
+				closeProc = func() { p.Flush(); lanes.Close() }
 			}
 			runner.runRound() // warm states, scratch, and arena
 

@@ -72,29 +72,28 @@ func suiteSmokeRounds(t *testing.T, workers, inferBatch int, tier nn.PrecisionTi
 	mcfg.MLPHidden = 8
 	m := core.New(synth.MobileTabSchema(), mcfg)
 	runner := &servingBenchRunner{users: 6, window: m.Schema.SessionLength + core.DefaultEpsilon}
-	var updates func() int64
-	var closeProc func()
+	store := serving.NewKVStore()
+	p := serving.NewStreamProcessor(m, store)
+	p.SetInferBatch(inferBatch)
+	if err := p.SetPrecision(tier); err != nil {
+		t.Fatal(err)
+	}
+	runner.onSession = p.OnSessionStart
+	runner.onAccess = p.OnAccess
+	runner.advance = p.Advance
+	updates := func() int64 { return p.UpdatesRun }
+	closeProc := p.Flush
 	if workers > 0 {
-		p, err := serving.NewParallelStreamProcessorTier(m, serving.NewShardedKVStore(4), workers, inferBatch, tier)
+		lanes, err := serving.NewLanes(m, store, serving.LaneOptions{
+			Lanes: workers, MaxBatch: inferBatch, MaxWait: -1, Precision: tier,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner.onSession = p.OnSessionStart
-		runner.onAccess = p.OnAccess
-		runner.advance = func(ts int64) { p.Advance(ts); p.Sync() }
-		updates = p.UpdatesRun
-		closeProc = p.Close
-	} else {
-		p := serving.NewStreamProcessor(m, serving.NewKVStore())
-		p.SetInferBatch(inferBatch)
-		if err := p.SetPrecision(tier); err != nil {
-			t.Fatal(err)
-		}
-		runner.onSession = p.OnSessionStart
-		runner.onAccess = p.OnAccess
-		runner.advance = p.Advance
-		updates = func() int64 { return p.UpdatesRun }
-		closeProc = p.Flush
+		p.SetSink(lanes.Submit)
+		runner.advance = func(ts int64) { p.Advance(ts); lanes.Wait() }
+		updates = lanes.UpdatesRun
+		closeProc = func() { p.Flush(); lanes.Close() }
 	}
 	runner.runRound()
 	runner.runRound()

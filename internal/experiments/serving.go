@@ -81,8 +81,9 @@ func (l *Lab) onlineResult() serving.OnlineResult {
 }
 
 // Parallelism measures the concurrent serving subsystem against the
-// sequential baseline: session-finalisation throughput for the worker-pool
-// stream processor over the sharded KV store at 1/4/8 lanes, and batched
+// sequential baseline: session-finalisation throughput for the stream
+// processor feeding serving.Lanes over the sharded KV store at 1/4/8 lanes,
+// and batched
 // session-startup prediction throughput at the same fan-outs. The paper's
 // production deployment partitions both tiers by user (§9); this driver
 // quantifies what that buys on the local replay.
@@ -144,7 +145,13 @@ func (l *Lab) Parallelism() *Report {
 		return time.Since(t0)
 	}
 	replayPar := func(workers, batch int) time.Duration {
-		p := serving.NewParallelStreamProcessorBatch(m, serving.NewShardedKVStore(0), workers, batch)
+		store := serving.NewShardedKVStore(0)
+		p := serving.NewStreamProcessor(m, store)
+		lanes, err := serving.NewLanes(m, store, serving.LaneOptions{Lanes: workers, MaxBatch: batch, MaxWait: -1})
+		if err != nil {
+			panic(err) // unreachable: the f64 tier needs no cell support
+		}
+		p.SetSink(lanes.Submit)
 		t0 := time.Now()
 		for _, e := range evs {
 			p.OnSessionStart(e.sid, e.user, e.ts, e.cat)
@@ -152,7 +159,8 @@ func (l *Lab) Parallelism() *Report {
 				p.OnAccess(e.sid, e.ts+30)
 			}
 		}
-		p.Close()
+		p.Flush()
+		lanes.Close()
 		return time.Since(t0)
 	}
 

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/statestore"
+	"repro/internal/wire"
 )
 
 const (
@@ -138,14 +139,17 @@ func (f *Follower) Promote() int64 {
 	return f.lastSeq
 }
 
-// Stop ends replication without promoting (shutdown path).
+// Stop ends replication without promoting (shutdown path). stopCh closes
+// before the connection check: run installs a fresh connection under mu
+// only after seeing stopCh open, so either it sees the stop and never
+// consumes, or Stop sees its connection and closes it.
 func (f *Follower) Stop() {
+	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.mu.Lock()
 	if f.conn != nil {
 		f.conn.Close()
 	}
 	f.mu.Unlock()
-	f.stopOnce.Do(func() { close(f.stopCh) })
 	f.wg.Wait()
 }
 
@@ -216,7 +220,7 @@ func (f *Follower) run() {
 		f.mu.Lock()
 		f.conn = nil
 		f.connected = false
-		if errors.Is(err, ErrFrameCorrupt) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, errFrameTooLarge) {
+		if errors.Is(err, ErrFrameCorrupt) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, wire.ErrFrameTooLarge) {
 			// A corrupt or torn frame means the stream position cannot be
 			// trusted: resuming the tail at lastSeq+1 could re-apply or skip
 			// records. Dropping the epoch makes the next subscribe look
@@ -259,9 +263,9 @@ func (f *Follower) sleep(d time.Duration) bool {
 // consume applies one session's frames. It returns how many records it
 // applied (any progress resets the reconnect backoff).
 func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err error) {
-	fw := &frameWriter{w: w}
+	fw := wire.NewWriter(w)
 	ack := func(seq int64) error {
-		if err := fw.writeSeq(fAck, seq); err != nil {
+		if err := writeSeq(fw, fAck, seq); err != nil {
 			return err
 		}
 		return w.Flush()
@@ -269,7 +273,7 @@ func (f *Follower) consume(r *bufio.Reader, w *bufio.Writer) (applied int64, err
 	var buf []byte
 	sinceAck := 0
 	for {
-		typ, payload, ferr := readFrame(r, buf)
+		typ, payload, ferr := wire.ReadFrame(r, buf)
 		if ferr != nil {
 			return applied, ferr
 		}
@@ -419,8 +423,7 @@ func dialSubscribe(primary, epoch string, seq int64) (net.Conn, *bufio.Reader, *
 			break
 		}
 	}
-	fw := &frameWriter{w: w}
-	if err := fw.writeJSON(fSubscribe, subscribeReq{Epoch: epoch, Seq: seq}); err != nil {
+	if err := writeJSON(wire.NewWriter(w), fSubscribe, subscribeReq{Epoch: epoch, Seq: seq}); err != nil {
 		conn.Close()
 		return nil, nil, nil, err
 	}

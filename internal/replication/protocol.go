@@ -23,23 +23,22 @@
 package replication
 
 import (
-	"bufio"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
+
+	"repro/internal/wire"
 )
 
 // UpgradeProtocol names the connection upgrade in the HTTP handshake.
 const UpgradeProtocol = "pp-replicate"
 
-// Frame types. Each frame is [1B type][4B little-endian payload length]
-// [payload][4B little-endian CRC-32 (IEEE) over type+length+payload].
-// The trailer lets either side detect a flipped bit on the wire instead
-// of applying a corrupted record; a mismatch surfaces as ErrFrameCorrupt
-// and the follower drops the connection and re-bootstraps.
+// Frame types. Each frame is the wire codec's [1B type][4B little-endian
+// payload length][payload][4B little-endian CRC-32 (IEEE) over
+// type+length+payload]. The trailer lets either side detect a flipped bit
+// on the wire instead of applying a corrupted record; a mismatch surfaces
+// as ErrFrameCorrupt and the follower drops the connection and
+// re-bootstraps.
 const (
 	// fSubscribe (follower→primary) opens a session: a JSON subscribe
 	// payload naming the last seen epoch, the first wanted sequence
@@ -69,20 +68,12 @@ const (
 	fAck byte = 8
 )
 
-// maxFramePayload bounds a frame so a corrupt length prefix cannot ask
-// either side to allocate unbounded memory. States are a few hundred
-// bytes; 64 MiB is generous for any future batch framing.
-const maxFramePayload = 64 << 20
-
-var errFrameTooLarge = errors.New("replication: frame exceeds size limit")
-
 // ErrFrameCorrupt reports a frame whose CRC trailer does not match its
 // bytes. The connection cannot be trusted past this point — the reader's
 // position within the stream may be wrong — so the follower closes it and
-// forces a fresh bootstrap.
-var ErrFrameCorrupt = errors.New("replication: frame CRC mismatch")
-
-var crcTable = crc32.IEEETable
+// forces a fresh bootstrap. Frames are read and written by the wire codec,
+// so this is wire.ErrFrameCorrupt.
+var ErrFrameCorrupt = wire.ErrFrameCorrupt
 
 // Arc is a closed interval [Lo, Hi] of the 32-bit key-hash ring, matching
 // the server's transfer arcs (wrapping ranges are split by the caller).
@@ -115,146 +106,88 @@ type hello struct {
 	Epoch string `json:"epoch"`
 }
 
-// frameWriter frames outbound messages onto one buffered writer, keeping
-// a running CRC from the frame header through the payload so the trailer
-// costs no extra pass over the bytes.
-type frameWriter struct {
-	w       *bufio.Writer
-	scratch []byte
-	crc     uint32
-}
+// The link's frames go through the wire codec (wire.Writer, wire.ReadFrame):
+// the writers below only lay out replication payloads.
 
-func (fw *frameWriter) frame(typ byte, payloadLen int) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(payloadLen))
-	fw.crc = crc32.Update(0, crcTable, hdr[:])
-	_, err := fw.w.Write(hdr[:])
-	return err
-}
-
-// body writes payload bytes, folding them into the frame's CRC.
-func (fw *frameWriter) body(p []byte) error {
-	fw.crc = crc32.Update(fw.crc, crcTable, p)
-	_, err := fw.w.Write(p)
-	return err
-}
-
-// trailer closes the frame with the accumulated CRC.
-func (fw *frameWriter) trailer() error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], fw.crc)
-	_, err := fw.w.Write(b[:])
-	return err
-}
-
-func (fw *frameWriter) writeJSON(typ byte, v any) error {
+func writeJSON(fw *wire.Writer, typ byte, v any) error {
 	payload, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
-	if err := fw.frame(typ, len(payload)); err != nil {
+	if err := fw.Frame(typ, len(payload)); err != nil {
 		return err
 	}
-	if err := fw.body(payload); err != nil {
+	if err := fw.Body(payload); err != nil {
 		return err
 	}
-	return fw.trailer()
+	return fw.Trailer()
 }
 
-// writeRecord frames one tail record.
-func (fw *frameWriter) writeRecord(seq int64, op byte, key string, val []byte) error {
-	if err := fw.frame(fRecord, 8+1+4+len(key)+len(val)); err != nil {
+// writeRecord frames one tail record. scratch is the caller's reusable
+// header buffer.
+func writeRecord(fw *wire.Writer, scratch *[]byte, seq int64, op byte, key string, val []byte) error {
+	if err := fw.Frame(fRecord, 8+1+4+len(key)+len(val)); err != nil {
 		return err
 	}
-	b := fw.scratch[:0]
+	b := (*scratch)[:0]
 	b = binary.LittleEndian.AppendUint64(b, uint64(seq))
 	b = append(b, op)
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
-	fw.scratch = b
-	if err := fw.body(b); err != nil {
+	*scratch = b
+	if err := fw.Body(b); err != nil {
 		return err
 	}
-	if err := fw.body(val); err != nil {
+	if err := fw.Body(val); err != nil {
 		return err
 	}
-	return fw.trailer()
+	return fw.Trailer()
 }
 
-// writeBootEntry frames one bootstrapped state.
-func (fw *frameWriter) writeBootEntry(key string, stored []byte) error {
-	if err := fw.frame(fBootEntry, 4+len(key)+len(stored)); err != nil {
+// writeBootEntry frames one bootstrapped state. scratch is the caller's
+// reusable header buffer.
+func writeBootEntry(fw *wire.Writer, scratch *[]byte, key string, stored []byte) error {
+	if err := fw.Frame(fBootEntry, 4+len(key)+len(stored)); err != nil {
 		return err
 	}
-	b := fw.scratch[:0]
+	b := (*scratch)[:0]
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(key)))
 	b = append(b, key...)
-	fw.scratch = b
-	if err := fw.body(b); err != nil {
+	*scratch = b
+	if err := fw.Body(b); err != nil {
 		return err
 	}
-	if err := fw.body(stored); err != nil {
+	if err := fw.Body(stored); err != nil {
 		return err
 	}
-	return fw.trailer()
+	return fw.Trailer()
 }
 
 // writeSeq frames a bare-sequence message (fBootEnd, fAck).
-func (fw *frameWriter) writeSeq(typ byte, seq int64) error {
-	if err := fw.frame(typ, 8); err != nil {
+func writeSeq(fw *wire.Writer, typ byte, seq int64) error {
+	if err := fw.Frame(typ, 8); err != nil {
 		return err
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(seq))
-	if err := fw.body(b[:]); err != nil {
+	if err := fw.Body(b[:]); err != nil {
 		return err
 	}
-	return fw.trailer()
+	return fw.Trailer()
 }
 
 // writeHeartbeat frames an idle heartbeat.
-func (fw *frameWriter) writeHeartbeat(seq, clock int64) error {
-	if err := fw.frame(fHeartbeat, 16); err != nil {
+func writeHeartbeat(fw *wire.Writer, seq, clock int64) error {
+	if err := fw.Frame(fHeartbeat, 16); err != nil {
 		return err
 	}
 	var b [16]byte
 	binary.LittleEndian.PutUint64(b[:8], uint64(seq))
 	binary.LittleEndian.PutUint64(b[8:], uint64(clock))
-	if err := fw.body(b[:]); err != nil {
+	if err := fw.Body(b[:]); err != nil {
 		return err
 	}
-	return fw.trailer()
-}
-
-// readFrame reads one frame, reusing buf when it is large enough, and
-// verifies the CRC trailer before handing the payload back.
-func readFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFramePayload {
-		return 0, nil, errFrameTooLarge
-	}
-	if int(n) > cap(buf) {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return 0, nil, err
-	}
-	var tb [4]byte
-	if _, err := io.ReadFull(r, tb[:]); err != nil {
-		return 0, nil, err
-	}
-	crc := crc32.Update(0, crcTable, hdr[:])
-	crc = crc32.Update(crc, crcTable, buf)
-	if binary.LittleEndian.Uint32(tb[:]) != crc {
-		return 0, nil, fmt.Errorf("%w (type %d, %d bytes)", ErrFrameCorrupt, hdr[0], n)
-	}
-	return hdr[0], buf, nil
+	return fw.Trailer()
 }
 
 // parseRecord decodes an fRecord payload. key and val alias the payload

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/serving"
 	"repro/internal/statestore"
+	"repro/internal/wire"
 )
 
 const (
@@ -154,7 +155,7 @@ func (s *Source) Serve(conn net.Conn, rw *bufio.ReadWriter) error {
 	}
 	defer s.unregister(sub)
 
-	typ, payload, err := readFrame(rw.Reader, nil)
+	typ, payload, err := wire.ReadFrame(rw.Reader, nil)
 	if err != nil {
 		return err
 	}
@@ -184,7 +185,8 @@ func (s *Source) Serve(conn net.Conn, rw *bufio.ReadWriter) error {
 // longer than the buffer retains) restarts with a fresh bootstrap on the
 // same connection.
 func (s *Source) stream(w *bufio.Writer, sub *subscriber, req subscribeReq) error {
-	fw := &frameWriter{w: w}
+	fw := wire.NewWriter(w)
+	var scratch []byte
 	next := req.Seq
 	if req.Epoch != s.epoch {
 		// Positions from another incarnation (or none) are meaningless
@@ -204,14 +206,14 @@ func (s *Source) stream(w *bufio.Writer, sub *subscriber, req subscribeReq) erro
 			err = statestore.ErrTailTruncated
 		}
 		if err != nil {
-			if next, err = s.bootstrap(fw, req.Arcs); err != nil {
+			if next, err = s.bootstrap(fw, &scratch, req.Arcs); err != nil {
 				return err
 			}
 			started = true
 			continue
 		}
 		if !started {
-			if err := fw.writeJSON(fTailStart, hello{Epoch: s.epoch}); err != nil {
+			if err := writeJSON(fw, fTailStart, hello{Epoch: s.epoch}); err != nil {
 				return err
 			}
 			started = true
@@ -230,7 +232,7 @@ func (s *Source) stream(w *bufio.Writer, sub *subscriber, req subscribeReq) erro
 			select {
 			case <-wake:
 			case <-hb.C:
-				if err := fw.writeHeartbeat(next-1, s.st.Clock()); err != nil {
+				if err := writeHeartbeat(fw, next-1, s.st.Clock()); err != nil {
 					return err
 				}
 				if err := w.Flush(); err != nil {
@@ -245,7 +247,7 @@ func (s *Source) stream(w *bufio.Writer, sub *subscriber, req subscribeReq) erro
 			if len(req.Arcs) > 0 && rec.Key != "" && !arcsContain(req.Arcs, serving.KeyHash(rec.Key)) {
 				continue
 			}
-			if err := fw.writeRecord(rec.Seq, rec.Op, rec.Key, rec.Val); err != nil {
+			if err := writeRecord(fw, &scratch, rec.Seq, rec.Op, rec.Key, rec.Val); err != nil {
 				return err
 			}
 		}
@@ -278,9 +280,9 @@ func (s *Source) waitWindow(sub *subscriber, sent int64) error {
 // the export runs may be both in the export and re-delivered by the tail;
 // replay is idempotent (absolute values), so the follower converges
 // either way.
-func (s *Source) bootstrap(fw *frameWriter, arcs []Arc) (next int64, err error) {
+func (s *Source) bootstrap(fw *wire.Writer, scratch *[]byte, arcs []Arc) (next int64, err error) {
 	from := s.st.WALSeq() + 1
-	if err := fw.writeJSON(fBootStart, hello{Epoch: s.epoch}); err != nil {
+	if err := writeJSON(fw, fBootStart, hello{Epoch: s.epoch}); err != nil {
 		return 0, err
 	}
 	match := func(string) bool { return true }
@@ -288,15 +290,15 @@ func (s *Source) bootstrap(fw *frameWriter, arcs []Arc) (next int64, err error) 
 		match = func(key string) bool { return arcsContain(arcs, serving.KeyHash(key)) }
 	}
 	err = s.st.Export(match, func(key string, stored []byte) error {
-		return fw.writeBootEntry(key, stored)
+		return writeBootEntry(fw, scratch, key, stored)
 	})
 	if err != nil {
 		return 0, err
 	}
-	if err := fw.writeSeq(fBootEnd, from); err != nil {
+	if err := writeSeq(fw, fBootEnd, from); err != nil {
 		return 0, err
 	}
-	return from, fw.w.Flush()
+	return from, fw.Flush()
 }
 
 // readAcks drains follower frames, publishing ack positions. Any read
@@ -305,7 +307,7 @@ func (s *Source) readAcks(r *bufio.Reader, sub *subscriber) {
 	defer close(sub.done)
 	var buf []byte
 	for {
-		typ, payload, err := readFrame(r, buf)
+		typ, payload, err := wire.ReadFrame(r, buf)
 		if err != nil {
 			return
 		}

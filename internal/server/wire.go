@@ -181,7 +181,7 @@ func (s *Server) ingestWire(er *wire.EventReader, ev *wire.Event, batch []byte) 
 		}
 		n++
 	}
-	if s.overloaded() {
+	if s.lanes.Overloaded() {
 		s.eventsShed.Add(int64(n))
 		return wire.StatusShed, 0, "finalisation backlog full, event shed"
 	}

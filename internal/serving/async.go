@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"container/heap"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -19,9 +18,12 @@ import (
 // virtual clock — that hands due sessions to an external sink in drain
 // order, and BatchFinalizer is the matching back half: it applies groups of
 // due sessions through the wave-partitioned batched GEMM cell, preserving
-// the same per-user ordering and byte-identity guarantees as the inline
-// paths. internal/server parks the sink's output in bounded per-shard
-// queues and flushes them on max-batch/max-wait.
+// the same per-user ordering and byte-identity guarantees as inline
+// finalisation (which runs through a BatchFinalizer of its own). Lanes
+// (lanes.go) is the concurrent form of that back half: SetSink(lanes.Submit)
+// parks due sessions in bounded per-user-hashed queues whose flushers
+// coalesce them on max-batch/max-wait, for the online server and the
+// multi-worker replays alike.
 
 // DueSession is one finalisation-ready session: the joined view of a
 // session's start context and access events at the moment its timer fires.
@@ -42,31 +44,8 @@ type DueSession struct {
 // finalisation.
 func (p *StreamProcessor) SetSink(sink func(DueSession)) { p.sink = sink }
 
-// drainToSink pops every due timer in order and hands the sessions to the
-// sink. UpdatesRun is not advanced here — the sink owner counts completed
-// finalisations.
-func (p *StreamProcessor) drainToSink(ts int64) {
-	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
-		e := heap.Pop(&p.timers).(timerEntry)
-		p.now = e.fireAt
-		if buf, ok := p.buffers[e.sessionID]; ok {
-			delete(p.buffers, e.sessionID)
-			p.sink(DueSession{
-				UserID:   buf.userID,
-				Start:    buf.start,
-				Cat:      buf.cat,
-				Accessed: buf.accessed,
-			})
-		}
-	}
-	if ts > p.now {
-		p.now = ts
-	}
-}
-
 // BatchFinalizer applies groups of due sessions through the batched GEMM
-// cell, exactly like the inline batched path: groups are wave-partitioned
-// by per-user step depth, waves run sequentially, and stored states stay
+// cell: groups are wave-partitioned by per-user step depth, waves run sequentially, and stored states stay
 // byte-identical to per-session finalisation. A finalizer owns its scratch,
 // so each instance must be used from one goroutine at a time (one per queue
 // flusher); the store may be shared.
@@ -76,22 +55,10 @@ type BatchFinalizer struct {
 	sc       *batchScratch   // f64 tier
 	sc32     *batchScratch32 // f32 tier (nil unless constructed with TierF32)
 	maxBatch int
-	bufs     []sessionBuffer
-	ptrs     []*sessionBuffer
 }
 
-// NewBatchFinalizer sizes the finalizer's scratch for groups of up to
-// maxBatch sessions (larger inputs are chunked). Finalisation runs on the
-// f64 reference tier; use NewBatchFinalizerTier for the f32 fast tier.
-func NewBatchFinalizer(model *core.Model, store Store, maxBatch int) *BatchFinalizer {
-	f, err := NewBatchFinalizerTier(model, store, maxBatch, nn.TierF64)
-	if err != nil {
-		panic(err) // unreachable: the f64 tier needs no cell support
-	}
-	return f
-}
-
-// NewBatchFinalizerTier is NewBatchFinalizer with an explicit compute tier,
+// NewBatchFinalizerTier sizes the finalizer's scratch for groups of up to
+// maxBatch sessions (larger inputs are chunked) on the given compute tier,
 // fixed for the finalizer's lifetime. TierF32 requires a cell with an f32
 // inference tier (see StreamProcessor.SetPrecision); only the selected
 // tier's scratch is allocated.
@@ -103,8 +70,6 @@ func NewBatchFinalizerTier(model *core.Model, store Store, maxBatch int, tier nn
 		model:    model,
 		store:    store,
 		maxBatch: maxBatch,
-		bufs:     make([]sessionBuffer, maxBatch),
-		ptrs:     make([]*sessionBuffer, maxBatch),
 	}
 	if tier == nn.TierF32 {
 		if !model.SupportsF32() {
@@ -114,9 +79,6 @@ func NewBatchFinalizerTier(model *core.Model, store Store, maxBatch int, tier nn
 	} else {
 		f.sc = newBatchScratch(model, maxBatch)
 	}
-	for i := range f.bufs {
-		f.ptrs[i] = &f.bufs[i]
-	}
 	return f, nil
 }
 
@@ -125,22 +87,11 @@ func NewBatchFinalizerTier(model *core.Model, store Store, maxBatch int, tier nn
 // keeps their updates ordered.
 func (f *BatchFinalizer) Finalize(due []DueSession) {
 	for len(due) > 0 {
-		n := len(due)
-		if n > f.maxBatch {
-			n = f.maxBatch
-		}
-		for i := 0; i < n; i++ {
-			f.bufs[i] = sessionBuffer{
-				userID:   due[i].UserID,
-				start:    due[i].Start,
-				cat:      due[i].Cat,
-				accessed: due[i].Accessed,
-			}
-		}
+		n := min(len(due), f.maxBatch)
 		if f.sc32 != nil {
-			applySessionUpdateBatch32(f.model, f.store, f.ptrs[:n], f.sc32)
+			applySessionUpdateBatch32(f.model, f.store, due[:n], f.sc32)
 		} else {
-			applySessionUpdateBatch(f.model, f.store, f.ptrs[:n], f.sc)
+			applySessionUpdateBatch(f.model, f.store, due[:n], f.sc)
 		}
 		due = due[n:]
 	}

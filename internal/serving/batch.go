@@ -20,20 +20,54 @@ import (
 // byte-identical to the sequential per-session path (pinned by
 // TestBatchedFinalisationMatchesSequential).
 
+// waves is the wave partition of one drained group, shared by both tiers'
+// batch kernels.
+type waves struct {
+	// seen counts sessions per user within the group; wave holds each
+	// session's assigned wave; rows indexes the current wave's sessions.
+	seen map[int]int
+	wave []int
+	rows []int
+}
+
+// each partitions due by per-user step depth — a user's k-th session in
+// the group lands in wave k — and calls apply once per wave, in wave
+// order, with the wave's row indices into due.
+func (wv *waves) each(due []DueSession, apply func(rows []int)) {
+	if wv.seen == nil {
+		wv.seen = make(map[int]int)
+	}
+	clear(wv.seen)
+	wv.wave = wv.wave[:0]
+	maxWave := 0
+	for _, d := range due {
+		w := wv.seen[d.UserID]
+		wv.seen[d.UserID] = w + 1
+		wv.wave = append(wv.wave, w)
+		if w > maxWave {
+			maxWave = w
+		}
+	}
+	for w := 0; w <= maxWave; w++ {
+		wv.rows = wv.rows[:0]
+		for i, bw := range wv.wave {
+			if bw == w {
+				wv.rows = append(wv.rows, i)
+			}
+		}
+		apply(wv.rows)
+	}
+}
+
 // batchScratch holds the reusable buffers of the batched finalisation hot
-// path — one per sequential processor or per worker lane, like
-// updateScratch.
+// path — one per BatchFinalizer.
 type batchScratch struct {
 	scalar *updateScratch // singleton waves take the scalar path
 	arena  *tensor.Arena
 	enc    []byte
-	// seen counts sessions per user within the current group; wave holds
-	// each buffer's assigned wave; rows indexes the current wave's buffers;
+	waves  waves
 	// keys holds the current wave's KV keys (built once, used for Get and
 	// Put).
-	seen map[int]int
-	wave []int
-	rows []int
 	keys []string
 }
 
@@ -45,7 +79,6 @@ func newBatchScratch(m *core.Model, maxBatch int) *batchScratch {
 	return &batchScratch{
 		scalar: newUpdateScratch(m),
 		arena:  tensor.NewArena(panel + m.BatchUpdateScratchSize(maxBatch)),
-		seen:   make(map[int]int),
 		keys:   make([]string, 0, maxBatch),
 	}
 }
@@ -53,50 +86,31 @@ func newBatchScratch(m *core.Model, maxBatch int) *batchScratch {
 // applySessionUpdateBatch finalises a group of due sessions through the
 // batched cell, preserving per-user order via wave partitioning. The group
 // must be in finalisation (timer) order.
-func applySessionUpdateBatch(model *core.Model, store Store, bufs []*sessionBuffer, bs *batchScratch) {
-	if len(bufs) == 1 {
-		applySessionUpdate(model, store, bufs[0], bs.scalar)
+func applySessionUpdateBatch(model *core.Model, store Store, due []DueSession, bs *batchScratch) {
+	if len(due) == 1 {
+		applySessionUpdate(model, store, &due[0], bs.scalar)
 		return
 	}
-	clear(bs.seen)
-	bs.wave = bs.wave[:0]
-	maxWave := 0
-	for _, b := range bufs {
-		w := bs.seen[b.userID]
-		bs.seen[b.userID] = w + 1
-		bs.wave = append(bs.wave, w)
-		if w > maxWave {
-			maxWave = w
-		}
-	}
-	for w := 0; w <= maxWave; w++ {
-		bs.rows = bs.rows[:0]
-		for i, bw := range bs.wave {
-			if bw == w {
-				bs.rows = append(bs.rows, i)
-			}
-		}
-		bs.applyWave(model, store, bufs)
-	}
+	bs.waves.each(due, func(rows []int) { bs.applyWave(model, store, due, rows) })
 }
 
-// applyWave runs one wave (bs.rows) of the group: gather states and inputs
-// into panels, one batched cell advance, scatter the results back to the
-// store. Get/Put counts per session match the scalar path exactly.
-func (bs *batchScratch) applyWave(model *core.Model, store Store, bufs []*sessionBuffer) {
-	if len(bs.rows) == 1 {
-		applySessionUpdate(model, store, bufs[bs.rows[0]], bs.scalar)
+// applyWave runs one wave of the group: gather states and inputs into
+// panels, one batched cell advance, scatter the results back to the store.
+// Get/Put counts per session match the scalar path exactly.
+func (bs *batchScratch) applyWave(model *core.Model, store Store, due []DueSession, rows []int) {
+	if len(rows) == 1 {
+		applySessionUpdate(model, store, &due[rows[0]], bs.scalar)
 		return
 	}
-	w := len(bs.rows)
+	w := len(rows)
 	bs.arena.Reset()
 	states := bs.arena.Matrix(w, model.StateSize())
 	xs := bs.arena.Matrix(w, model.UpdateDim())
 	next := bs.arena.Matrix(w, model.StateSize())
 	bs.keys = bs.keys[:0]
-	for r, bi := range bs.rows {
-		buf := bufs[bi]
-		bs.keys = append(bs.keys, hiddenKey(buf.userID))
+	for r, i := range rows {
+		d := &due[i]
+		bs.keys = append(bs.keys, hiddenKey(d.UserID))
 		row := states.Row(r)
 		var lastTS int64
 		decoded := false
@@ -109,14 +123,13 @@ func (bs *batchScratch) applyWave(model *core.Model, store Store, bufs []*sessio
 		}
 		var dt int64
 		if lastTS != 0 {
-			dt = buf.start - lastTS
+			dt = d.Start - lastTS
 		}
-		model.BuildUpdateInput(buf.start, buf.cat, buf.accessed, dt, xs.Row(r))
+		model.BuildUpdateInput(d.Start, d.Cat, d.Accessed, dt, xs.Row(r))
 	}
 	model.UpdateStatesInto(next, states, xs, bs.arena)
-	for r, bi := range bs.rows {
-		buf := bufs[bi]
-		bs.enc = EncodeHiddenInto(bs.enc, next.Row(r), buf.start)
+	for r, i := range rows {
+		bs.enc = EncodeHiddenInto(bs.enc, next.Row(r), due[i].Start)
 		store.Put(bs.keys[r], bs.enc)
 	}
 }

@@ -3,7 +3,6 @@ package serving
 import (
 	"bytes"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -42,7 +41,7 @@ func requireSameStates(t *testing.T, name string, users int, want *KVStore, got 
 
 // TestBatchedFinalisationMatchesSequential is the batched analogue of
 // TestParallelMatchesSequential: the sequential batched drain and the
-// parallel batched worker drain must both store byte-identical hidden
+// batched lane drain must both store byte-identical hidden
 // states to the per-session path, across batch sizes around the group and
 // tile edges.
 func TestBatchedFinalisationMatchesSequential(t *testing.T) {
@@ -71,15 +70,16 @@ func TestBatchedFinalisationMatchesSequential(t *testing.T) {
 		requireSameStates(t, fmt.Sprintf("sequential batch %d", batch), users, want, store)
 
 		parStore := NewShardedKVStore(16)
-		par := NewParallelStreamProcessorBatch(m, parStore, 4, batch)
+		par, lanes := newLaneProcessor(t, m, parStore, LaneOptions{Lanes: 4, MaxBatch: batch, MaxWait: -1})
 		for _, e := range evs {
 			par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 			if e.access {
 				par.OnAccess(e.sid, e.ts+30)
 			}
 		}
-		par.Close()
-		if got := par.UpdatesRun(); got != int64(len(evs)) {
+		par.Flush()
+		lanes.Close()
+		if got := lanes.UpdatesRun(); got != int64(len(evs)) {
 			t.Fatalf("parallel batch %d: UpdatesRun %d, want %d", batch, got, len(evs))
 		}
 		requireSameStates(t, fmt.Sprintf("parallel batch %d", batch), users, want, parStore)
@@ -151,36 +151,19 @@ func TestBatchedStackedModel(t *testing.T) {
 	requireSameStates(t, "stacked", users, want, store)
 }
 
-// TestParallelBatchedConcurrent drives a batched worker pool from many
-// goroutines at once — under -race this is the batched finaliser's
-// concurrency proof (the serving race step in CI runs it).
+// TestParallelBatchedConcurrent drives batched lanes from many goroutines
+// at once — under -race this is the batched finaliser's concurrency proof
+// (the serving race step in CI runs it).
 func TestParallelBatchedConcurrent(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(16)
-	p := NewParallelStreamProcessorBatch(m, store, 4, 8)
+	p, lanes := newLaneProcessor(t, m, store, LaneOptions{Lanes: 4, MaxBatch: 8, MaxWait: -1})
 
 	const users = 12
 	const rounds = 8
-	var wg sync.WaitGroup
-	for u := 0; u < users; u++ {
-		wg.Add(1)
-		go func(u int) {
-			defer wg.Done()
-			start := synth.DefaultStart
-			for r := 0; r < rounds; r++ {
-				ts := start + int64(r)*7200
-				sid := fmt.Sprintf("u%d-s%d", u, r)
-				p.OnSessionStart(sid, u, ts, []int{u % 4, r % 3})
-				if r%2 == 0 {
-					p.OnAccess(sid, ts+30)
-				}
-			}
-		}(u)
-	}
-	wg.Wait()
-	p.Close()
+	driveConcurrently(p, lanes, users, rounds)
 
-	if got := p.UpdatesRun(); got != users*rounds {
+	if got := lanes.UpdatesRun(); got != users*rounds {
 		t.Fatalf("UpdatesRun: %d, want %d", got, users*rounds)
 	}
 	if st := store.Stats(); st.Keys != users {
@@ -188,23 +171,23 @@ func TestParallelBatchedConcurrent(t *testing.T) {
 	}
 }
 
-// TestBatchedSyncVisibility checks Advance+Sync read-your-writes holds
-// with the batched worker drain.
+// TestBatchedSyncVisibility checks Advance+Wait read-your-writes holds
+// with the batched lane drain.
 func TestBatchedSyncVisibility(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(4)
-	p := NewParallelStreamProcessorBatch(m, store, 2, 16)
-	defer p.Close()
+	p, lanes := newLaneProcessor(t, m, store, LaneOptions{Lanes: 2, MaxBatch: 16, MaxWait: -1})
+	defer lanes.Close()
 
 	start := synth.DefaultStart
 	for i := 0; i < 6; i++ {
 		p.OnSessionStart(fmt.Sprintf("s%d", i), 40+i, start+int64(i), []int{1, 2})
 	}
 	p.Advance(start + m.Schema.SessionLength + p.Epsilon + 10)
-	p.Sync()
+	lanes.Wait()
 	for i := 0; i < 6; i++ {
 		if _, ok := store.Get(hiddenKey(40 + i)); !ok {
-			t.Fatalf("user %d state missing after Advance+Sync", 40+i)
+			t.Fatalf("user %d state missing after Advance+Wait", 40+i)
 		}
 	}
 }

@@ -56,7 +56,7 @@ func BenchmarkShardedKVStore(b *testing.B) {
 // BenchmarkParallelStreamUpdate measures session-finalisation throughput:
 // one iteration replays a fixed synthetic log and flushes, so the timed
 // region is dominated by the GRU updates. The sequential processor is the
-// baseline; the parallel processor runs at 1/4/8 worker lanes.
+// baseline; the lane pipeline runs at 1/4/8 worker lanes.
 func BenchmarkParallelStreamUpdate(b *testing.B) {
 	m := benchModel()
 	evs := syntheticLog(64, 4)
@@ -76,14 +76,15 @@ func BenchmarkParallelStreamUpdate(b *testing.B) {
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := NewParallelStreamProcessor(m, NewShardedKVStore(16), workers)
+				p, lanes := newLaneProcessor(b, m, NewShardedKVStore(16), LaneOptions{Lanes: workers})
 				for _, e := range evs {
 					p.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 					if e.access {
 						p.OnAccess(e.sid, e.ts+30)
 					}
 				}
-				p.Close()
+				p.Flush()
+				lanes.Close()
 			}
 		})
 	}
@@ -107,14 +108,15 @@ func BenchmarkParallelStreamUpdate(b *testing.B) {
 	for _, workers := range []int{4} {
 		b.Run(fmt.Sprintf("workers-%d-batch-32", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p := NewParallelStreamProcessorBatch(m, NewShardedKVStore(16), workers, 32)
+				p, lanes := newLaneProcessor(b, m, NewShardedKVStore(16), LaneOptions{Lanes: workers, MaxBatch: 32, MaxWait: -1})
 				for _, e := range evs {
 					p.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 					if e.access {
 						p.OnAccess(e.sid, e.ts+30)
 					}
 				}
-				p.Close()
+				p.Flush()
+				lanes.Close()
 			}
 		})
 	}
@@ -142,34 +144,34 @@ func BenchmarkBatchFinalise(b *testing.B) {
 			warm.OnSessionStart(fmt.Sprintf("w%d", u), u, synth.DefaultStart+int64(u), []int{u % 4, u % 3})
 		}
 		warm.Flush()
-		bufs := make([]*sessionBuffer, users)
-		for u := 0; u < users; u++ {
-			bufs[u] = &sessionBuffer{
-				userID: u, start: synth.DefaultStart + 7200 + int64(u),
-				cat: []int{u % 4, u % 3}, accessed: u%3 == 0,
+		due := make([]DueSession, users)
+		for u := range due {
+			due[u] = DueSession{
+				UserID: u, Start: synth.DefaultStart + 7200 + int64(u),
+				Cat: []int{u % 4, u % 3}, Accessed: u%3 == 0,
 			}
 		}
 		b.Run(fmt.Sprintf("d%d/scalar", d), func(b *testing.B) {
 			sc := newUpdateScratch(m)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				for _, buf := range bufs {
-					applySessionUpdate(m, store, buf, sc)
+				for u := range due {
+					applySessionUpdate(m, store, &due[u], sc)
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bufs)), "ns/session")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(due)), "ns/session")
 		})
 		for _, batch := range []int{8, 32, 64} {
 			b.Run(fmt.Sprintf("d%d/batch-%d", d, batch), func(b *testing.B) {
 				bs := newBatchScratch(m, batch)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < len(bufs); lo += batch {
-						hi := min(lo+batch, len(bufs))
-						applySessionUpdateBatch(m, store, bufs[lo:hi], bs)
+					for lo := 0; lo < len(due); lo += batch {
+						hi := min(lo+batch, len(due))
+						applySessionUpdateBatch(m, store, due[lo:hi], bs)
 					}
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(bufs)), "ns/session")
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(due)), "ns/session")
 			})
 		}
 	}

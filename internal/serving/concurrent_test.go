@@ -125,11 +125,25 @@ func syntheticLog(users, rounds int) []replayEvent {
 	return evs
 }
 
+// newLaneProcessor composes the replay pipeline: a StreamProcessor whose
+// due sessions finalise on a Lanes pool. Callers end a replay with
+// p.Flush() then lanes.Close().
+func newLaneProcessor(tb testing.TB, m *core.Model, store Store, o LaneOptions) (*StreamProcessor, *Lanes) {
+	tb.Helper()
+	lanes, err := NewLanes(m, store, o)
+	if err != nil {
+		tb.Fatalf("NewLanes: %v", err)
+	}
+	p := NewStreamProcessor(m, store)
+	p.SetSink(lanes.Submit)
+	return p, lanes
+}
+
 // TestParallelMatchesSequential replays the same synthetic log through the
-// sequential processor (single-mutex store) and the parallel processor
-// (sharded store, 8 workers) and requires byte-identical stored hidden
-// states: per-user lanes keep each user's update order, and each user's
-// state chain depends only on that user's sessions.
+// sequential processor (single-mutex store) and the lane pipeline (sharded
+// store, 8 lanes) and requires byte-identical stored hidden states:
+// per-user lanes keep each user's update order, and each user's state
+// chain depends only on that user's sessions.
 func TestParallelMatchesSequential(t *testing.T) {
 	m := testModel()
 	evs := syntheticLog(24, 6)
@@ -145,16 +159,17 @@ func TestParallelMatchesSequential(t *testing.T) {
 	seq.Flush()
 
 	parStore := NewShardedKVStore(16)
-	par := NewParallelStreamProcessor(m, parStore, 8)
+	par, lanes := newLaneProcessor(t, m, parStore, LaneOptions{Lanes: 8})
 	for _, e := range evs {
 		par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 		if e.access {
 			par.OnAccess(e.sid, e.ts+30)
 		}
 	}
-	par.Close()
+	par.Flush()
+	lanes.Close()
 
-	if got, want := par.UpdatesRun(), seq.UpdatesRun; got != want {
+	if got, want := lanes.UpdatesRun(), seq.UpdatesRun; got != want {
 		t.Fatalf("UpdatesRun: parallel %d vs sequential %d", got, want)
 	}
 	for u := 0; u < 24; u++ {
@@ -169,16 +184,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelStreamProcessorConcurrent drives one processor from many
-// goroutines at once (one goroutine per user, so per-user event order stays
-// well defined) and checks every session is finalised exactly once.
-func TestParallelStreamProcessorConcurrent(t *testing.T) {
-	m := testModel()
-	store := NewShardedKVStore(16)
-	p := NewParallelStreamProcessor(m, store, 4)
-
-	const users = 12
-	const rounds = 8
+// driveConcurrently feeds users×rounds sessions into p from one goroutine
+// per user (so per-user event order stays well defined), every call under
+// one caller-held mutex — the online server's ingest discipline — then
+// flushes the processor and closes the lanes.
+func driveConcurrently(p *StreamProcessor, lanes *Lanes, users, rounds int) {
+	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for u := 0; u < users; u++ {
 		wg.Add(1)
@@ -188,17 +199,34 @@ func TestParallelStreamProcessorConcurrent(t *testing.T) {
 			for r := 0; r < rounds; r++ {
 				ts := start + int64(r)*7200
 				sid := fmt.Sprintf("u%d-s%d", u, r)
+				mu.Lock()
 				p.OnSessionStart(sid, u, ts, []int{u % 4, r % 3})
 				if r%2 == 0 {
 					p.OnAccess(sid, ts+30)
 				}
+				mu.Unlock()
 			}
 		}(u)
 	}
 	wg.Wait()
-	p.Close()
+	mu.Lock()
+	p.Flush()
+	mu.Unlock()
+	lanes.Close()
+}
 
-	if got := p.UpdatesRun(); got != users*rounds {
+// TestLanesConcurrentIngest drives the lane pipeline from many
+// goroutines at once and checks every session is finalised exactly once.
+func TestLanesConcurrentIngest(t *testing.T) {
+	m := testModel()
+	store := NewShardedKVStore(16)
+	p, lanes := newLaneProcessor(t, m, store, LaneOptions{Lanes: 4})
+
+	const users = 12
+	const rounds = 8
+	driveConcurrently(p, lanes, users, rounds)
+
+	if got := lanes.UpdatesRun(); got != users*rounds {
 		t.Fatalf("UpdatesRun: %d, want %d", got, users*rounds)
 	}
 	if p.Pending() != 0 {
@@ -210,14 +238,14 @@ func TestParallelStreamProcessorConcurrent(t *testing.T) {
 	}
 }
 
-// TestParallelSyncVisibility checks Advance+Sync gives the sequential
-// path's read-your-writes behaviour: after Sync, the finalised session's
+// TestParallelSyncVisibility checks Advance+Wait gives the sequential
+// path's read-your-writes behaviour: after Wait, the finalised session's
 // state is visible in the store.
 func TestParallelSyncVisibility(t *testing.T) {
 	m := testModel()
 	store := NewShardedKVStore(4)
-	p := NewParallelStreamProcessor(m, store, 2)
-	defer p.Close()
+	p, lanes := newLaneProcessor(t, m, store, LaneOptions{Lanes: 2})
+	defer lanes.Close()
 
 	start := synth.DefaultStart
 	p.OnSessionStart("s1", 7, start, []int{1, 2})
@@ -226,10 +254,10 @@ func TestParallelSyncVisibility(t *testing.T) {
 		t.Fatalf("hidden must not exist before finalisation")
 	}
 	p.Advance(start + m.Schema.SessionLength + p.Epsilon + 1)
-	p.Sync()
+	lanes.Wait()
 	raw, ok := store.Get(hiddenKey(7))
 	if !ok {
-		t.Fatalf("hidden state missing after Advance+Sync")
+		t.Fatalf("hidden state missing after Advance+Wait")
 	}
 	if h, ts, ok2 := DecodeHidden(raw); !ok2 || ts != start || len(h) != m.StateSize() {
 		t.Fatalf("stored hidden malformed")

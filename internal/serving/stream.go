@@ -17,14 +17,6 @@ import (
 // events, retrieves the user's hidden state, executes the GRU part of the
 // model and writes the new hidden state back.
 
-// sessionBuffer accumulates the events of one in-flight session.
-type sessionBuffer struct {
-	userID   int
-	start    int64
-	cat      []int
-	accessed bool
-}
-
 // timerEntry schedules a session finalisation.
 type timerEntry struct {
 	fireAt    int64
@@ -54,24 +46,25 @@ type StreamProcessor struct {
 	// the finalisation timer fires.
 	Epsilon int64
 
-	buffers map[string]*sessionBuffer
+	// buffers holds each in-flight session's joined events until its
+	// timer fires.
+	buffers map[string]*DueSession
 	timers  timerHeap
 	now     int64
-	scratch *updateScratch
 
 	// precision selects the compute tier of finalisation: TierF64 (the
 	// bit-exact training reference, default) or TierF32 (the fused float32
 	// kernels; see SetPrecision). The stored wire format is the same either
 	// way, so the tier can be switched mid-replay without a store rewrite.
 	precision nn.PrecisionTier
-	scratch32 *updateScratch32
 
 	// inferBatch > 1 drains due sessions in groups of up to that size and
 	// finalises them through the batched GEMM cell path (see batch.go).
+	// Inline finalisation runs through fin, built on first use at the
+	// current batch size and tier; due collects the group being drained.
 	inferBatch int
-	batchSc    *batchScratch
-	batchSc32  *batchScratch32
-	due        []*sessionBuffer
+	fin        *BatchFinalizer
+	due        []DueSession
 
 	// sink, when set, receives due sessions instead of inline finalisation
 	// (the async submit seam; see async.go).
@@ -88,8 +81,7 @@ func NewStreamProcessor(model *core.Model, store Store) *StreamProcessor {
 		model:   model,
 		store:   store,
 		Epsilon: core.DefaultEpsilon,
-		buffers: make(map[string]*sessionBuffer),
-		scratch: newUpdateScratch(model),
+		buffers: make(map[string]*DueSession),
 	}
 }
 
@@ -99,15 +91,7 @@ func NewStreamProcessor(model *core.Model, store Store) *StreamProcessor {
 // matrix-vector products per session. n <= 1 restores the per-session
 // path. Stored states are byte-identical either way.
 func (p *StreamProcessor) SetInferBatch(n int) {
-	if n <= 1 {
-		p.inferBatch, p.batchSc = 0, nil
-		return
-	}
-	p.inferBatch = n
-	p.batchSc = newBatchScratch(p.model, n)
-	if p.precision == nn.TierF32 {
-		p.batchSc32 = newBatchScratch32(p.model, n)
-	}
+	p.inferBatch, p.fin = n, nil
 }
 
 // SetPrecision selects the finalisation compute tier. TierF32 routes
@@ -121,15 +105,7 @@ func (p *StreamProcessor) SetPrecision(t nn.PrecisionTier) error {
 	if t == nn.TierF32 && !p.model.SupportsF32() {
 		return fmt.Errorf("serving: %s cell has no f32 inference tier", p.model.Cfg.Cell)
 	}
-	p.precision = t
-	if t == nn.TierF32 {
-		if p.scratch32 == nil {
-			p.scratch32 = newUpdateScratch32(p.model)
-		}
-		if p.inferBatch > 1 && p.batchSc32 == nil {
-			p.batchSc32 = newBatchScratch32(p.model, p.inferBatch)
-		}
-	}
+	p.precision, p.fin = t, nil
 	return nil
 }
 
@@ -164,9 +140,9 @@ func UserKeyHash(userID int) uint32 {
 	return h
 }
 
-// updateScratch holds the reusable buffers of the finalisation hot path —
-// one per processor (sequential) or per worker lane (parallel), so GRU
-// updates run allocation-free apart from the store's defensive copies.
+// updateScratch holds the reusable buffers of the singleton-wave
+// finalisation path — one per BatchFinalizer, so GRU updates run
+// allocation-free apart from the store's defensive copies.
 type updateScratch struct {
 	state, next, in, cell tensor.Vector
 	enc                   []byte
@@ -182,65 +158,59 @@ func newUpdateScratch(m *core.Model) *updateScratch {
 }
 
 // Advance moves the virtual clock to ts, firing any due timers in order.
-// With a sink set (SetSink), due sessions are submitted to it instead of
-// being finalised inline.
+// Due sessions are finalised inline in groups of up to the infer batch or,
+// with a sink set (SetSink), submitted to it instead.
 func (p *StreamProcessor) Advance(ts int64) {
-	if p.sink != nil {
-		p.drainToSink(ts)
-		return
-	}
-	if p.inferBatch > 1 {
-		p.drainBatched(ts)
-		if ts > p.now {
-			p.now = ts
-		}
-		return
-	}
 	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
 		e := heap.Pop(&p.timers).(timerEntry)
 		p.now = e.fireAt
-		p.finalize(e.sessionID)
+		d, ok := p.buffers[e.sessionID]
+		if !ok {
+			continue
+		}
+		delete(p.buffers, e.sessionID)
+		if p.sink != nil {
+			p.sink(*d)
+			continue
+		}
+		p.due = append(p.due, *d)
+		if len(p.due) >= p.inferBatch {
+			p.finalizeDue()
+		}
+	}
+	if len(p.due) > 0 {
+		p.finalizeDue()
 	}
 	if ts > p.now {
 		p.now = ts
 	}
 }
 
-// drainBatched pops every timer due at ts, in timer order, and finalises
-// the sessions in groups of up to inferBatch. Group chunking preserves the
-// global drain order, and the wave partition inside each group preserves
-// per-user order, so stored states match the per-session path byte for
-// byte.
-func (p *StreamProcessor) drainBatched(ts int64) {
-	for len(p.timers) > 0 && p.timers[0].fireAt <= ts {
-		p.due = p.due[:0]
-		for len(p.timers) > 0 && p.timers[0].fireAt <= ts && len(p.due) < p.inferBatch {
-			e := heap.Pop(&p.timers).(timerEntry)
-			p.now = e.fireAt
-			if buf, ok := p.buffers[e.sessionID]; ok {
-				delete(p.buffers, e.sessionID)
-				p.due = append(p.due, buf)
-			}
+// finalizeDue runs the collected group through the inline finalizer.
+// Groups are cut in drain order and the finalizer's wave partition keeps
+// per-user order inside each, so stored states match per-session
+// finalisation byte for byte at any batch size.
+func (p *StreamProcessor) finalizeDue() {
+	if p.fin == nil {
+		f, err := NewBatchFinalizerTier(p.model, p.store, p.inferBatch, p.precision)
+		if err != nil {
+			panic(err) // unreachable: SetPrecision validated the tier
 		}
-		if len(p.due) > 0 {
-			if p.precision == nn.TierF32 {
-				applySessionUpdateBatch32(p.model, p.store, p.due, p.batchSc32)
-			} else {
-				applySessionUpdateBatch(p.model, p.store, p.due, p.batchSc)
-			}
-			p.UpdatesRun += int64(len(p.due))
-		}
+		p.fin = f
 	}
+	p.fin.Finalize(p.due)
+	p.UpdatesRun += int64(len(p.due))
+	p.due = p.due[:0]
 }
 
 // OnSessionStart records the context of a new session and arms its
 // finalisation timer.
 func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64, cat []int) {
 	p.Advance(ts)
-	p.buffers[sessionID] = &sessionBuffer{
-		userID: userID,
-		start:  ts,
-		cat:    append([]int(nil), cat...),
+	p.buffers[sessionID] = &DueSession{
+		UserID: userID,
+		Start:  ts,
+		Cat:    append([]int(nil), cat...),
 	}
 	heap.Push(&p.timers, timerEntry{
 		fireAt:    ts + p.model.Schema.SessionLength + p.Epsilon,
@@ -253,34 +223,19 @@ func (p *StreamProcessor) OnSessionStart(sessionID string, userID int, ts int64,
 // buffering semantics).
 func (p *StreamProcessor) OnAccess(sessionID string, ts int64) {
 	p.Advance(ts)
-	if buf, ok := p.buffers[sessionID]; ok {
-		buf.accessed = true
+	if d, ok := p.buffers[sessionID]; ok {
+		d.Accessed = true
 	}
 }
 
-// finalize joins the session's events and runs the hidden update.
-func (p *StreamProcessor) finalize(sessionID string) {
-	buf, ok := p.buffers[sessionID]
-	if !ok {
-		return
-	}
-	delete(p.buffers, sessionID)
-	if p.precision == nn.TierF32 {
-		applySessionUpdate32(p.model, p.store, buf, p.scratch32)
-	} else {
-		applySessionUpdate(p.model, p.store, buf, p.scratch)
-	}
-	p.UpdatesRun++
-}
-
-// applySessionUpdate is the finalisation step shared by the sequential and
-// parallel processors: read the user's hidden state, fold the session in
-// with RNNupdate, write the new state back. Model inference is read-only
-// and the Store implementations are concurrency-safe, so this is safe to
-// run from many goroutines as long as no two run for the same user at once
-// and each caller owns its scratch.
-func applySessionUpdate(model *core.Model, store Store, buf *sessionBuffer, sc *updateScratch) {
-	key := hiddenKey(buf.userID)
+// applySessionUpdate is the per-session finalisation step, the batch
+// kernel's singleton-wave path: read the user's hidden state, fold the
+// session in with RNNupdate, write the new state back. Model inference is
+// read-only and the Store implementations are concurrency-safe, so this is
+// safe to run from many goroutines as long as no two run for the same user
+// at once and each caller owns its scratch.
+func applySessionUpdate(model *core.Model, store Store, d *DueSession, sc *updateScratch) {
+	key := hiddenKey(d.UserID)
 	var lastTS int64
 	decoded := false
 	if raw, found := store.Get(key); found {
@@ -294,11 +249,11 @@ func applySessionUpdate(model *core.Model, store Store, buf *sessionBuffer, sc *
 	}
 	var dt int64
 	if lastTS != 0 {
-		dt = buf.start - lastTS
+		dt = d.Start - lastTS
 	}
-	in := model.BuildUpdateInput(buf.start, buf.cat, buf.accessed, dt, sc.in)
+	in := model.BuildUpdateInput(d.Start, d.Cat, d.Accessed, dt, sc.in)
 	model.UpdateStateInto(sc.next, sc.state, in, sc.cell)
-	sc.enc = EncodeHiddenInto(sc.enc, sc.next, buf.start)
+	sc.enc = EncodeHiddenInto(sc.enc, sc.next, d.Start)
 	store.Put(key, sc.enc)
 }
 

@@ -31,8 +31,8 @@ func newUpdateScratch32(m *core.Model) *updateScratch32 {
 
 // applySessionUpdate32 is applySessionUpdate on the f32 tier: same store
 // traffic (one Get, one Put), same h_0 and Δt semantics, float32 compute.
-func applySessionUpdate32(model *core.Model, store Store, buf *sessionBuffer, sc *updateScratch32) {
-	key := hiddenKey(buf.userID)
+func applySessionUpdate32(model *core.Model, store Store, d *DueSession, sc *updateScratch32) {
+	key := hiddenKey(d.UserID)
 	var lastTS int64
 	decoded := false
 	if raw, found := store.Get(key); found {
@@ -44,11 +44,11 @@ func applySessionUpdate32(model *core.Model, store Store, buf *sessionBuffer, sc
 	}
 	var dt int64
 	if lastTS != 0 {
-		dt = buf.start - lastTS
+		dt = d.Start - lastTS
 	}
-	in := model.BuildUpdateInput32(buf.start, buf.cat, buf.accessed, dt, sc.in)
+	in := model.BuildUpdateInput32(d.Start, d.Cat, d.Accessed, dt, sc.in)
 	model.UpdateStateInto32(sc.next, sc.state, in, sc.cell)
-	sc.enc = EncodeHiddenInto32(sc.enc, sc.next, buf.start)
+	sc.enc = EncodeHiddenInto32(sc.enc, sc.next, d.Start)
 	store.Put(key, sc.enc)
 }
 
@@ -58,9 +58,7 @@ type batchScratch32 struct {
 	scalar *updateScratch32 // singleton waves take the scalar path
 	arena  *tensor.Arena32
 	enc    []byte
-	seen   map[int]int
-	wave   []int
-	rows   []int
+	waves  waves
 	keys   []string
 }
 
@@ -69,59 +67,39 @@ func newBatchScratch32(m *core.Model, maxBatch int) *batchScratch32 {
 	return &batchScratch32{
 		scalar: newUpdateScratch32(m),
 		arena:  tensor.NewArena32(panel + m.BatchUpdateScratchSize32(maxBatch)),
-		seen:   make(map[int]int),
 		keys:   make([]string, 0, maxBatch),
 	}
 }
 
 // applySessionUpdateBatch32 is applySessionUpdateBatch on the f32 tier:
-// identical wave partitioning (per-user step depth, waves sequential),
-// float32 panels and cell. Bit-identity with the scalar f32 path follows
-// from the cell's row contract plus the shared per-row input routing.
-func applySessionUpdateBatch32(model *core.Model, store Store, bufs []*sessionBuffer, bs *batchScratch32) {
-	if len(bufs) == 1 {
-		applySessionUpdate32(model, store, bufs[0], bs.scalar)
+// the same wave partition (per-user step depth, waves sequential), float32
+// panels and cell. Bit-identity with the scalar f32 path follows from the
+// cell's row contract plus the shared per-row input routing.
+func applySessionUpdateBatch32(model *core.Model, store Store, due []DueSession, bs *batchScratch32) {
+	if len(due) == 1 {
+		applySessionUpdate32(model, store, &due[0], bs.scalar)
 		return
 	}
-	clear(bs.seen)
-	bs.wave = bs.wave[:0]
-	maxWave := 0
-	for _, b := range bufs {
-		w := bs.seen[b.userID]
-		bs.seen[b.userID] = w + 1
-		bs.wave = append(bs.wave, w)
-		if w > maxWave {
-			maxWave = w
-		}
-	}
-	for w := 0; w <= maxWave; w++ {
-		bs.rows = bs.rows[:0]
-		for i, bw := range bs.wave {
-			if bw == w {
-				bs.rows = append(bs.rows, i)
-			}
-		}
-		bs.applyWave(model, store, bufs)
-	}
+	bs.waves.each(due, func(rows []int) { bs.applyWave(model, store, due, rows) })
 }
 
 // applyWave is batchScratch.applyWave on the f32 tier: gather, one batched
 // f32 cell advance, scatter. Get/Put counts per session match the scalar
 // path exactly.
-func (bs *batchScratch32) applyWave(model *core.Model, store Store, bufs []*sessionBuffer) {
-	if len(bs.rows) == 1 {
-		applySessionUpdate32(model, store, bufs[bs.rows[0]], bs.scalar)
+func (bs *batchScratch32) applyWave(model *core.Model, store Store, due []DueSession, rows []int) {
+	if len(rows) == 1 {
+		applySessionUpdate32(model, store, &due[rows[0]], bs.scalar)
 		return
 	}
-	w := len(bs.rows)
+	w := len(rows)
 	bs.arena.Reset()
 	states := bs.arena.Matrix(w, model.StateSize())
 	xs := bs.arena.Matrix(w, model.UpdateDim32())
 	next := bs.arena.Matrix(w, model.StateSize())
 	bs.keys = bs.keys[:0]
-	for r, bi := range bs.rows {
-		buf := bufs[bi]
-		bs.keys = append(bs.keys, hiddenKey(buf.userID))
+	for r, i := range rows {
+		d := &due[i]
+		bs.keys = append(bs.keys, hiddenKey(d.UserID))
 		row := states.Row(r)
 		var lastTS int64
 		decoded := false
@@ -134,14 +112,13 @@ func (bs *batchScratch32) applyWave(model *core.Model, store Store, bufs []*sess
 		}
 		var dt int64
 		if lastTS != 0 {
-			dt = buf.start - lastTS
+			dt = d.Start - lastTS
 		}
-		model.BuildUpdateInput32(buf.start, buf.cat, buf.accessed, dt, xs.Row(r))
+		model.BuildUpdateInput32(d.Start, d.Cat, d.Accessed, dt, xs.Row(r))
 	}
 	model.UpdateStatesInto32(next, states, xs, bs.arena)
-	for r, bi := range bs.rows {
-		buf := bufs[bi]
-		bs.enc = EncodeHiddenInto32(bs.enc, next.Row(r), buf.start)
+	for r, i := range rows {
+		bs.enc = EncodeHiddenInto32(bs.enc, next.Row(r), due[i].Start)
 		store.Put(bs.keys[r], bs.enc)
 	}
 }

@@ -32,7 +32,7 @@ func replayScalar32(t *testing.T, m *core.Model, evs []replayEvent) *KVStore {
 }
 
 // TestF32FinalisationMatchesAcrossPaths is the f32 tier's replay
-// equivalence: sequential batched drains, the parallel worker pool, and the
+// equivalence: sequential batched drains, the lane pipeline, and the
 // async BatchFinalizer must all store states byte-identical to the scalar
 // f32 path, exactly as the f64 paths match theirs.
 func TestF32FinalisationMatchesAcrossPaths(t *testing.T) {
@@ -64,18 +64,16 @@ func TestF32FinalisationMatchesAcrossPaths(t *testing.T) {
 		requireSameStates(t, fmt.Sprintf("f32 sequential batch %d", batch), users, want, store)
 
 		parStore := NewShardedKVStore(16)
-		par, err := NewParallelStreamProcessorTier(m, parStore, 4, batch, nn.TierF32)
-		if err != nil {
-			t.Fatalf("parallel f32: %v", err)
-		}
+		par, lanes := newLaneProcessor(t, m, parStore, LaneOptions{Lanes: 4, MaxBatch: batch, MaxWait: -1, Precision: nn.TierF32})
 		for _, e := range evs {
 			par.OnSessionStart(e.sid, e.userID, e.ts, e.cat)
 			if e.access {
 				par.OnAccess(e.sid, e.ts+30)
 			}
 		}
-		par.Close()
-		if got := par.UpdatesRun(); got != int64(len(evs)) {
+		par.Flush()
+		lanes.Close()
+		if got := lanes.UpdatesRun(); got != int64(len(evs)) {
 			t.Fatalf("parallel f32 batch %d: UpdatesRun %d, want %d", batch, got, len(evs))
 		}
 		requireSameStates(t, fmt.Sprintf("f32 parallel batch %d", batch), users, want, parStore)
@@ -209,8 +207,8 @@ func TestF32PrecisionRequiresCellSupport(t *testing.T) {
 	if p.Precision() != nn.TierF64 {
 		t.Fatalf("precision after rejected switch: %v, want f64", p.Precision())
 	}
-	if _, err := NewParallelStreamProcessorTier(lstm, NewShardedKVStore(4), 2, 4, nn.TierF32); err == nil {
-		t.Fatal("NewParallelStreamProcessorTier(f32) must fail for an LSTM cell")
+	if _, err := NewLanes(lstm, NewShardedKVStore(4), LaneOptions{Lanes: 2, MaxBatch: 4, Precision: nn.TierF32}); err == nil {
+		t.Fatal("NewLanes(f32) must fail for an LSTM cell")
 	}
 	if _, err := NewBatchFinalizerTier(lstm, NewKVStore(), 8, nn.TierF32); err == nil {
 		t.Fatal("NewBatchFinalizerTier(f32) must fail for an LSTM cell")

@@ -79,12 +79,15 @@ func TestProcessorsByteIdenticalOnStateStore(t *testing.T) {
 		var on func(sid string, u int, ts int64, cat []int)
 		var acc func(sid string, ts int64)
 		var fin func()
+		p := serving.NewStreamProcessor(m, store)
+		on, acc, fin = p.OnSessionStart, p.OnAccess, p.Flush
 		if parallel {
-			p := serving.NewParallelStreamProcessor(m, store, 4)
-			on, acc, fin = p.OnSessionStart, p.OnAccess, p.Close
-		} else {
-			p := serving.NewStreamProcessor(m, store)
-			on, acc, fin = p.OnSessionStart, p.OnAccess, p.Flush
+			lanes, err := serving.NewLanes(m, store, serving.LaneOptions{Lanes: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetSink(lanes.Submit)
+			fin = func() { p.Flush(); lanes.Close() }
 		}
 		sid := 0
 		for _, u := range data.Users {

@@ -93,7 +93,9 @@ const (
 const MaxFramePayload = 16 << 20
 
 var (
-	errFrameTooLarge = errors.New("wire: frame exceeds size limit")
+	// ErrFrameTooLarge reports a length prefix above MaxFramePayload —
+	// a corrupt header as far as the reader can tell, and as fatal.
+	ErrFrameTooLarge = errors.New("wire: frame exceeds size limit")
 
 	// ErrFrameCorrupt reports a frame whose CRC trailer does not match
 	// its bytes. The stream position cannot be trusted past this point,
@@ -190,7 +192,7 @@ func ReadFrame(r *bufio.Reader, buf []byte) (typ byte, payload []byte, err error
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:])
 	if n > MaxFramePayload {
-		return 0, nil, errFrameTooLarge
+		return 0, nil, ErrFrameTooLarge
 	}
 	if int(n) > cap(buf) {
 		buf = make([]byte, n)
